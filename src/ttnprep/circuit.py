@@ -26,7 +26,8 @@ import scipy.linalg
 
 from .errors import (CircuitValidityError, ParameterError, ShapeError)
 from .fourier import inverse_dft_embedding_matrix
-from .ttn import Edge, TreeTensorNetwork
+from .topology import walk
+from .ttn import Edge, TreeTensorNetwork, label_from_json, label_to_json
 
 ISOMETRY_TOL = 1e-10
 
@@ -267,7 +268,7 @@ class QuantumCircuit:
                         "in_qubits": int(plc.in_qubits),
                         "kind": plc.kind, "matrix": flat})
         return {"qubits": int(self.qubits),
-                "labels": [_wire_label_json(l) for l in self.labels],
+                "labels": [label_to_json(l) for l in self.labels],
                 "placements": pls,
                 "metrics": self.cost.to_dict()}
 
@@ -281,7 +282,7 @@ class QuantumCircuit:
             mat = (flat[:, 0] + 1j * flat[:, 1]).reshape(1 << q, 1 << p)
             pls.append(Placement(tuple(pd["targets"]), p, mat,
                                  pd.get("kind", "isometry")))
-        labels = tuple(_wire_label_from_json(l) for l in d["labels"])
+        labels = tuple(label_from_json(l) for l in d["labels"])
         return cls(d["qubits"], pls, labels,
                    CostReport.from_dict(d["metrics"]))
 
@@ -291,18 +292,6 @@ class QuantumCircuit:
     @classmethod
     def load(cls, path: str | Path) -> "QuantumCircuit":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def _wire_label_json(label):
-    if isinstance(label, tuple):
-        return {"pair": [_wire_label_json(x) for x in label]}
-    return label
-
-
-def _wire_label_from_json(obj):
-    if isinstance(obj, dict):
-        return tuple(_wire_label_from_json(x) for x in obj["pair"])
-    return obj
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -340,24 +329,16 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
             raise ShapeError(
                 f"physical leg {ed.label!r} has dimension "
                 f"{work.edge_dim(e)}, expected a qubit")
-    root = work.center
-    order, parent_edge = work._bfs_order(root)
-    children: dict[int, list[int]] = {u: [] for u in order}
-    for u in order:
-        pe = parent_edge[u]
-        if pe is not None:
-            children[work.edges[pe].other(u)].append(u)
-
+    order = walk(work.center, work.neighbors)
     next_wire = 0
     bond_wires: dict[int, list[int]] = {}
     wire_label: dict[int, Hashable] = {}
     placements = []
     breakdown = []
     node_cost = {}
-    for u in order:
+    for u, _, pe in order:
         t = work.tensors[u]
         ax = work.axes[u]
-        pe = parent_edge[u]
         if pe is None:
             p = 0
             in_wires: list[int] = []
@@ -398,26 +379,36 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
                           "cnots": node_cost[u],
                           "targets": [int(w) for w in targets]})
 
-    depth_below: dict[int, int] = {}
-    for u in reversed(order):
-        depth_below[u] = node_cost[u] + max(
-            (depth_below[c] for c in children[u]), default=0)
+    # deepest cost sum below each node, children first; the root's
+    # parent key None ends up holding the circuit depth
+    below: dict = {}
+    for u, parent, _ in reversed(order):
+        below[parent] = max(below.get(parent, 0),
+                            node_cost[u] + below.get(u, 0))
 
-    labs = sorted(wire_label.values())
-    if len(labs) != next_wire:
+    if len(wire_label) != next_wire:
         raise ShapeError("wire bookkeeping lost a physical leg")
+    circ = _label_ordered(placements, wire_label, CostReport(
+        sum(node_cost.values()), below[None], qft_cnots=0,
+        breakdown=breakdown))
+    return circ, circ.cost
+
+
+def _label_ordered(placements: list, wire_label: dict,
+                   cost: CostReport) -> QuantumCircuit:
+    """The circuit with its wires renumbered so that wire i carries the
+    i-th smallest label, in the placements and in the breakdown rows."""
     perm = {w: i for i, (_, w) in
             enumerate(sorted((lab, w) for w, lab in wire_label.items()))}
     placements = [Placement(tuple(perm[w] for w in plc.targets),
                             plc.in_qubits, plc.matrix, plc.kind)
                   for plc in placements]
-    for row in breakdown:
-        row["targets"] = [perm[w] for w in row["targets"]]
-    cost = CostReport(sum(node_cost.values()), depth_below[root],
-                      qft_cnots=0, breakdown=breakdown)
-    circ = QuantumCircuit(len(labs), placements, tuple(labs), cost)
+    cost.breakdown = [dict(row, targets=[perm[w] for w in row["targets"]])
+                      for row in cost.breakdown]
+    circ = QuantumCircuit(len(perm), placements,
+                          tuple(sorted(wire_label.values())), cost)
     circ.validate()
-    return circ, cost
+    return circ
 
 
 def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
@@ -456,19 +447,9 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
                           "targets": [int(w) for w in targets]})
         for j, w in enumerate(targets):
             wire_label[w] = (d, j)
-    labs = sorted(wire_label.values())
-    perm = {w: i for i, (_, w) in
-            enumerate(sorted((lab, w) for w, lab in wire_label.items()))}
-    placements = [Placement(tuple(perm[w] for w in plc.targets),
-                            plc.in_qubits, plc.matrix, plc.kind)
-                  for plc in placements]
-    for row in breakdown:
-        row["targets"] = [perm[w] for w in row["targets"]]
-    cost = CostReport(circ.cost.cnot_count, circ.cost.depth + n,
-                      circ.cost.qft_cnots + qft_cnots, breakdown)
-    out = QuantumCircuit(len(labs), placements, tuple(labs), cost)
-    out.validate()
-    return out
+    return _label_ordered(placements, wire_label, CostReport(
+        circ.cost.cnot_count, circ.cost.depth + n,
+        circ.cost.qft_cnots + qft_cnots, breakdown))
 
 
 def fsl_baseline_cost(D: int, n: int, m: int) -> CostReport:

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import scaling
-from .errors import ConfigError, ParameterError, TtnError, VerificationError
+from .errors import (MAX_DENSE_QUBITS, ConfigError, ParameterError, TtnError,
+                     VerificationError)
 from .fourier import GridSpec
 from .gaussian import (Bipartition, canonical_correlations,
                        closed_form_rank_bound, make_covariance, required_bond)
-from .sim import (MAX_DENSE_QUBITS, STRUCTURE_POLICIES, compile_circuit,
-                  verify_pipeline)
+from .sim import STRUCTURE_POLICIES, compile_circuit, verify_pipeline
 from .structopt import optimize_structure
 from .tci import BlackBoxTensor, tci_build
 from .topology import TreeTopology, caterpillar_leaf_tree

@@ -4,6 +4,10 @@ Split by how the CLI reports them: configuration problems exit with 2,
 numerical failures with 3, verification failures with 4.
 """
 
+# Largest register held as a dense array anywhere in the package: 24 qubits,
+# 2**24 amplitudes. Every CapacityError is this cap.
+MAX_DENSE_QUBITS = 24
+
 
 class TtnError(Exception):
     """Base class for all package errors."""

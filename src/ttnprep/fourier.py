@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import MAX_DENSE_QUBITS, CapacityError, ParameterError
 from .gaussian import CovarianceMatrix
-
-DENSE_QUBIT_GUARD = 24
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class FourierEvaluator:
         self.grid = grid
         self.cov = cov
         self._c = (2.0 * math.pi / grid.box) ** 2
-        self.normalized = grid.fourier_qubits * grid.dim <= DENSE_QUBIT_GUARD
+        self.normalized = grid.fourier_qubits * grid.dim <= MAX_DENSE_QUBITS
         self.norm = self._exact_norm() if self.normalized else 1.0
 
     def _exact_norm(self) -> float:
@@ -147,8 +145,9 @@ def dense_coeff_tensor(ev: FourierEvaluator) -> np.ndarray:
     normalized to unit L2 mass. Guarded at m*dim <= 24."""
     grid = ev.grid
     M, D = grid.M, grid.dim
-    if grid.fourier_qubits * D > DENSE_QUBIT_GUARD:
-        raise CapacityError("dense coefficient tensor above the 24-qubit guard")
+    if grid.fourier_qubits * D > MAX_DENSE_QUBITS:
+        raise CapacityError("dense coefficient tensor above the "
+                            f"{MAX_DENSE_QUBITS}-qubit guard")
     kaxes = [index_to_frequency(np.arange(M), M).astype(float).reshape(
         (1,) * d + (M,) + (1,) * (D - 1 - d)) for d in range(D)]
     quad = np.zeros((M,) * D)
@@ -166,8 +165,9 @@ def exact_target(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     (2^n,)*dim tensor over the per-dimension integers b. Guarded at
     n*dim <= 24."""
     n, D, a = grid.qubits, grid.dim, grid.box
-    if n * D > DENSE_QUBIT_GUARD:
-        raise CapacityError("dense target above the 24-qubit guard")
+    if n * D > MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"dense target above the {MAX_DENSE_QUBITS}-qubit guard")
     if cov.dim != D:
         raise ParameterError("covariance dim does not match grid dim")
     N = 1 << n
@@ -198,8 +198,9 @@ def fsl_state(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     """The ideal state prepared from the truncated coefficients: dense
     coefficient tensor pushed through the inverse DFT embedding on every
     axis. This is the fidelity ceiling any compressed circuit inherits."""
-    if grid.qubits * grid.dim > DENSE_QUBIT_GUARD:
-        raise CapacityError("dense embedded state above the 24-qubit guard")
+    if grid.qubits * grid.dim > MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"dense embedded state above the {MAX_DENSE_QUBITS}-qubit guard")
     t = dense_coeff_tensor(FourierEvaluator(grid, cov)).astype(complex)
     W = inverse_dft_embedding_matrix(grid.qubits, grid.fourier_qubits)
     for d in range(grid.dim):

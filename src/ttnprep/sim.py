@@ -17,8 +17,8 @@ import numpy as np
 from .circuit import (QuantumCircuit, build_qft_ttn, compose_and_compress,
                       fsl_baseline_cost, qubitize, synthesize,
                       with_inverse_dft)
-from .errors import (CapacityError, CircuitValidityError, ParameterError,
-                     ShapeError)
+from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
+                     ParameterError, ShapeError)
 from .fourier import FourierEvaluator, GridSpec, exact_target, fsl_state
 from .gaussian import CovarianceMatrix
 from .structopt import optimize_structure
@@ -27,7 +27,6 @@ from .topology import (TreeTopology, canonical_leaf_tree,
                        caterpillar_leaf_tree, enumerate_leaf_trees,
                        normalize_leaf_tree)
 
-MAX_DENSE_QUBITS = 24
 NORM_DRIFT_TOL = 1e-10
 
 STRUCTURE_POLICIES = ("fixed", "auto-optimize", "exhaustive-optimal",
@@ -44,8 +43,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def simulate(circ: QuantumCircuit, max_qubits: int = MAX_DENSE_QUBITS
-             ) -> StateVector:
+def simulate(circ: QuantumCircuit) -> StateVector:
     """Apply the placements in order to the all-zeros state.
 
     Each placement reads its first in_qubits target wires (big-endian),
@@ -54,8 +52,9 @@ def simulate(circ: QuantumCircuit, max_qubits: int = MAX_DENSE_QUBITS
     leaked amplitude shows up as norm loss and is rejected.
     """
     Q = circ.qubits
-    if Q > max_qubits:
-        raise CapacityError(f"{Q} qubits exceeds the dense cap {max_qubits}")
+    if Q > MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"{Q} qubits exceeds the dense cap {MAX_DENSE_QUBITS}")
     circ.validate()
     psi = np.zeros((2,) * Q if Q else (1,), dtype=complex)
     psi.flat[0] = 1.0
@@ -160,7 +159,9 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
                     "structure": structure, "seed": seed}
 
     def build(edges):
-        topo = TreeTopology.from_leaf_tree(edges, D, M)
+        # edges None stands for the explicit topology
+        topo = topology if edges is None else \
+            TreeTopology.from_leaf_tree(edges, D, M)
         coeff, tci_rec = _coefficient_network(cov, grid, topo, chi_prime,
                                               sweeps, seed)
         return _emit(coeff, grid, chi, mode) + (tci_rec,)
@@ -172,50 +173,39 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     base_edges = _match_enumeration(D, caterpillar_leaf_tree(D),
                                     {i: i for i in range(D)})
 
+    # candidate trees per policy, then one build each and one pick
+    extra = {}
     if structure == "fixed" or D == 1:
-        if topology is not None:
-            coeff, tci_rec = _coefficient_network(cov, grid, topology,
-                                                  chi_prime, sweeps, seed)
-            net, circ, cost = _emit(coeff, grid, chi, mode)
-        else:
-            net, circ, cost, tci_rec = build(base_edges)
-        record.update(tci_rec)
-        record["tree"] = base_edges if topology is None else None
+        trees = [None if topology is not None else base_edges]
     elif structure == "auto-optimize":
-        if topology is not None:
-            coeff, _ = _coefficient_network(cov, grid, topology, chi_prime,
-                                            sweeps, seed)
-        else:
-            topo = TreeTopology.from_leaf_tree(base_edges, D, M)
-            coeff, _ = _coefficient_network(cov, grid, topo, chi_prime,
-                                            sweeps, seed)
+        start = topology if topology is not None else \
+            TreeTopology.from_leaf_tree(base_edges, D, M)
+        coeff, _ = _coefficient_network(cov, grid, start, chi_prime,
+                                        sweeps, seed)
         coeff.canonicalize(min(coeff.tensors))
         # search on the interpolation-rank network: re-splits stay near
         # exact there, so pairing entropies reflect the state rather
         # than earlier truncations
         coeff, opt = optimize_structure(coeff, chi=chi_prime)
-        found = _match_enumeration(D, *coeff.leaf_tree())
         # rebuild from scratch on the found shape so the result is the
         # same artifact the exhaustive scan produces for that tree
-        net, circ, cost, tci_rec = build(found)
-        record.update(tci_rec)
-        record["reconnections"] = opt["accepted_total"]
-        record["tree"] = found
+        trees = [_match_enumeration(D, *coeff.leaf_tree())]
+        extra["reconnections"] = opt["accepted_total"]
     else:
         if D > 6:
             raise CapacityError(
                 f"structure sweep over all trees needs D <= 6, got {D}")
-        trials = []
-        for edges in enumerate_leaf_trees(D):
-            net, circ, cost, tci_rec = build(edges)
-            trials.append((-net.ledger.product, cost.cnot_count,
-                           len(trials), edges, (net, circ, cost, tci_rec)))
-        trials.sort(key=lambda t: t[:3])
-        pick = trials[0] if structure == "exhaustive-optimal" else trials[-1]
-        net, circ, cost, tci_rec = pick[4]
-        record.update(tci_rec)
-        record["trees_scanned"] = len(trials)
-        record["tree"] = pick[3]
+        trees = enumerate_leaf_trees(D)
+        extra["trees_scanned"] = len(trees)
+    builds = [build(edges) for edges in trees]
+    # best ledger first, then fewest CNOTs, then scan order
+    ranked = sorted(range(len(builds)), key=lambda i: (
+        -builds[i][0].ledger.product, builds[i][2].cnot_count, i))
+    pick = ranked[-1] if structure == "fixed-worst" else ranked[0]
+    net, circ, cost, tci_rec = builds[pick]
+    record.update(tci_rec)
+    record.update(extra)
+    record["tree"] = trees[pick]
     record["ledger_fidelity"] = net.ledger.product
     record["cnot_count"] = cost.cnot_count
     record["qft_cnots"] = cost.qft_cnots

@@ -31,7 +31,7 @@ import scipy.linalg
 from scipy.linalg import lu_factor, solve
 
 from .errors import (ParameterError, PivotDegeneracyError, RankError)
-from .topology import TreeTopology
+from .topology import TreeTopology, walk
 from .ttn import TreeTensorNetwork
 
 MAXVOL_DELTA = 1e-2
@@ -164,14 +164,22 @@ class _PivotState:
         self.labels = topo.labels()
         self.col = {lab: i for i, lab in enumerate(self.labels)}
         self.dims = dims
-        self.adj = topo.adjacency()
+        adj = topo.adjacency()
+        # (parent, child, bond) from the smallest node: a preorder taking
+        # children in reverse adjacency order, each node listing its
+        # children in forward order. Sweeps and assembly both follow it,
+        # and it fixes the order of black-box calls, hence the numerics.
+        self.schedule = [
+            (u, v, bond)
+            for u, parent, _ in walk(min(adj), lambda w: adj[w][::-1])
+            for v, bond in adj[u] if v != parent]
         # legs_of[u]: axis descriptors, bonds first (topo order), phys last
         leaves_at: dict[int, list] = {}
         for u, lab, _ in topo.leaves:
             leaves_at.setdefault(u, []).append(lab)
         self.legs_of = {}
         for u in sorted(topo.nodes()):
-            legs = [("bond", b) for b in topo.bonds if u in b]
+            legs = [("bond", b) for _, b in adj[u]]
             legs += [("phys", lab) for lab in sorted(leaves_at.get(u, []))]
             self.legs_of[u] = legs
         # side columns per (bond, endpoint): labels on that endpoint's side
@@ -270,29 +278,15 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     probe_set = _probe_indices(rng, f.dims, probes)
     probe_vals = f(probe_set)
 
-    root = sorted(topo.nodes())[0]
-    dfs: list[tuple[int, int, tuple[int, int]]] = []
-    stack = [root]
-    seen = {root}
-    while stack:
-        u = stack.pop()
-        for v in state.adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            bond = (u, v) if (u, v) in topo.bonds else (v, u)
-            dfs.append((u, v, bond))
-            stack.append(v)
-
     residual_hist: list[float] = []
     best = (math.inf, state.snapshot())
     converged = False
     sweeps_run = 0
     for sweep in range(sweeps):
         sweeps_run = sweep + 1
-        for u, v, bond in dfs:  # forward: refresh the root-facing side
+        for u, v, bond in state.schedule:  # forward: the root-facing side
             _update_side(f, state, bond, u, v, chi, tol, kick, rng)
-        for u, v, bond in reversed(dfs):  # backward: refresh the far side
+        for u, v, bond in reversed(state.schedule):  # backward: the far side
             _update_side(f, state, bond, v, u, chi, tol, kick, rng)
         net = _assemble(f, state)
         resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals)))
@@ -449,7 +443,6 @@ def _assemble(f: BlackBoxTensor, state: _PivotState) -> TreeTensorNetwork:
     into the child side of every bond (rooted at the smallest node id)."""
     topo = state.topo
     L = len(state.labels)
-    root = sorted(topo.nodes())[0]
     tensors = {}
     axis_order = {}
     for u in sorted(topo.nodes()):
@@ -460,36 +453,27 @@ def _assemble(f: BlackBoxTensor, state: _PivotState) -> TreeTensorNetwork:
             raise ParameterError("node with no legs")
         axis_order[u] = list(state.legs_of[u])
 
-    # walk from the root; child w of parent p via bond: transform w's
-    # parent axis by P^{-1} so it enumerates w-side pivots
-    seen = {root}
-    queue = [root]
-    while queue:
-        p = queue.pop()
-        for w in state.adj[p]:
-            if w in seen:
-                continue
-            seen.add(w)
-            bond = (p, w) if (p, w) in topo.bonds else (w, p)
-            piv_u = state.pivots[(bond, w)]
-            piv_v = state.pivots[(bond, p)]
-            cols_u = state.side_cols[(bond, w)]
-            cols_v = state.side_cols[(bond, p)]
-            pmat = f(_merge(piv_u, cols_u, piv_v, cols_v, L)).reshape(
-                len(piv_u), len(piv_v))
-            axis = axis_order[w].index(("bond", bond))
-            t = tensors[w]
-            tm = np.moveaxis(t, axis, -1)
-            shape = tm.shape
-            try:
-                # rows of tm run over far pivots J_v; right-multiply by
-                # P^{-1} so the axis pairs with the parent's J_u axis
-                tm = solve(pmat.T, tm.reshape(-1, shape[-1]).T).T
-            except np.linalg.LinAlgError as exc:
-                raise PivotDegeneracyError(
-                    "singular pivot block in assembly") from exc
-            tensors[w] = np.moveaxis(tm.reshape(shape), -1, axis)
-            queue.append(w)
+    # child w of parent p via bond: transform w's parent axis by P^{-1}
+    # so it enumerates w-side pivots
+    for p, w, bond in state.schedule:
+        piv_u = state.pivots[(bond, w)]
+        piv_v = state.pivots[(bond, p)]
+        cols_u = state.side_cols[(bond, w)]
+        cols_v = state.side_cols[(bond, p)]
+        pmat = f(_merge(piv_u, cols_u, piv_v, cols_v, L)).reshape(
+            len(piv_u), len(piv_v))
+        axis = axis_order[w].index(("bond", bond))
+        t = tensors[w]
+        tm = np.moveaxis(t, axis, -1)
+        shape = tm.shape
+        try:
+            # rows of tm run over far pivots J_v; right-multiply by
+            # P^{-1} so the axis pairs with the parent's J_u axis
+            tm = solve(pmat.T, tm.reshape(-1, shape[-1]).T).T
+        except np.linalg.LinAlgError as exc:
+            raise PivotDegeneracyError(
+                "singular pivot block in assembly") from exc
+        tensors[w] = np.moveaxis(tm.reshape(shape), -1, axis)
 
     axis_desc = {u: [(k, tuple(v) if k == "bond" else v) for k, v in ao]
                  for u, ao in axis_order.items()}

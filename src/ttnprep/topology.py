@@ -9,15 +9,44 @@ set doubles as the variable index set of the distribution being encoded.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 
 Label = Hashable
+
+
+def walk(root, neighbors: Callable[[object], Iterable[tuple]]) -> list[tuple]:
+    """Depth-first preorder from root as (node, parent, via) triples.
+
+    neighbors(node) yields (next_node, via) pairs; children are visited in
+    that order and via is passed through (None for the root). A node is
+    visited once, so the walk covers only root's component and stops on a
+    graph with cycles. Reversed, the list is a children-first order.
+    """
+    order = []
+    seen = {root}
+    stack = [(root, None, None)]
+    while stack:
+        node, parent, via = stack.pop()
+        order.append((node, parent, via))
+        kids = [(v, node, e) for v, e in neighbors(node) if v not in seen]
+        seen.update(v for v, _, _ in kids)
+        stack.extend(reversed(kids))
+    return order
+
+
+def _adjacency(nodes, edges) -> dict:
+    # node -> [(neighbor, edge)], each node's edges in edge-list order
+    adj: dict = {u: [] for u in nodes}
+    for edge in edges:
+        u, v = edge
+        adj[u].append((v, edge))
+        adj[v].append((u, edge))
+    return adj
 
 
 @dataclass(frozen=True)
@@ -46,17 +75,7 @@ class TreeTopology:
                 raise ParameterError("physical dimension must be >= 1")
         if len(self.bonds) != len(nodes) - 1:
             raise ParameterError("bond count != node count - 1: not a tree")
-        # connectivity
-        adj = self.adjacency()
-        seen = {next(iter(nodes))}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if seen != nodes:
+        if len(walk(min(nodes), self.adjacency().__getitem__)) != len(nodes):
             raise ParameterError("bond graph is not connected")
 
     def nodes(self) -> set[int]:
@@ -68,12 +87,9 @@ class TreeTopology:
             ns.add(u)
         return ns
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {u: [] for u in self.nodes()}
-        for u, v in self.bonds:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    def adjacency(self) -> dict[int, list[tuple[int, tuple[int, int]]]]:
+        """node -> [(neighbor, bond)], with bonds in `bonds` order."""
+        return _adjacency(self.nodes(), self.bonds)
 
     def labels(self) -> list[Label]:
         # labels are homogeneous (all ints, or all (dim, bit) tuples)
@@ -86,16 +102,8 @@ class TreeTopology:
         """Labels on each side of an internal bond, (u-side, v-side)."""
         u, v = bond
         adj = self.adjacency()
-        side = set()
-        queue = deque([u])
-        seen = {u, v}
-        while queue:
-            w = queue.popleft()
-            side.add(w)
-            for x in adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    queue.append(x)
+        side = {w for w, _, _ in walk(
+            u, lambda w: [(x, b) for x, b in adj[w] if (w, x) != (u, v)])}
         left = frozenset(lab for nd, lab, _ in self.leaves if nd in side)
         right = frozenset(lab for nd, lab, _ in self.leaves if nd not in side)
         return left, right
@@ -186,20 +194,11 @@ def tree_distances(edges: Sequence[tuple[int, int]]) -> np.ndarray:
     for u, v in edges:
         nodes.update((u, v))
     V = max(nodes) + 1
-    adj = {n: [] for n in range(V)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(range(V), edges)
     dist = np.full((V, V), -1, dtype=int)
     for s in range(V):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[s, v] < 0:
-                    dist[s, v] = dist[s, u] + 1
-                    queue.append(v)
+        for u, parent, _ in walk(s, adj.__getitem__):
+            dist[s, u] = 0 if parent is None else dist[s, parent] + 1
     if (dist < 0).any():
         raise ParameterError("edge list is not a connected tree")
     return dist

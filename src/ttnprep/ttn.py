@@ -17,18 +17,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, NormalizationError, ParameterError,
-                     ShapeError)
-from .topology import TreeTopology
+from .errors import (MAX_DENSE_QUBITS, CapacityError, NormalizationError,
+                     ParameterError, ShapeError)
+from .topology import TreeTopology, walk
 
-CONTRACT_GUARD = 1 << 24
 MAGIC = b"TTNET001"
 
 
@@ -198,18 +196,8 @@ class TreeTensorNetwork:
             raise ShapeError("duplicate physical labels")
         if n_bonds != len(nodes) - 1:
             raise ShapeError("bond count != nodes - 1")
-        # connectivity
-        if nodes:
-            seen = set()
-            queue = deque([next(iter(nodes))])
-            while queue:
-                u = queue.popleft()
-                if u in seen:
-                    continue
-                seen.add(u)
-                queue.extend(self.neighbors(u))
-            if seen != nodes:
-                raise ShapeError("network is not connected")
+        if nodes and len(walk(min(nodes), self.neighbors)) != len(nodes):
+            raise ShapeError("network is not connected")
         if self.center is not None and self.center not in nodes:
             raise ParameterError("center is not a node")
 
@@ -218,13 +206,10 @@ class TreeTensorNetwork:
         u = ed.nodes[0] if u is None else u
         return self.tensors[u].shape[self.axes[u].index(e)]
 
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for e in self.axes[u]:
-            ed = self.edges[e]
-            if not ed.is_phys:
-                out.append(ed.other(u))
-        return out
+    def neighbors(self, u: int) -> list[tuple[int, int]]:
+        """(neighbor, bond) for every bond of u, in axes order."""
+        return [(self.edges[e].other(u), e) for e in self.axes[u]
+                if not self.edges[e].is_phys]
 
     def bond_between(self, u: int, v: int) -> int:
         for e in self.axes[u]:
@@ -265,23 +250,6 @@ class TreeTensorNetwork:
                 edges.append(ed.nodes)
         return edges, labels
 
-    def _bfs_order(self, root: int) -> tuple[list[int], dict[int, int | None]]:
-        order = [root]
-        parent_edge: dict[int, int | None] = {root: None}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for e in self.axes[u]:
-                ed = self.edges[e]
-                if ed.is_phys:
-                    continue
-                v = ed.other(u)
-                if v not in parent_edge:
-                    parent_edge[v] = e
-                    order.append(v)
-                    queue.append(v)
-        return order, parent_edge
-
     # -- gauge and truncation ----------------------------------------------
 
     def _push(self, u: int, e: int) -> None:
@@ -301,9 +269,10 @@ class TreeTensorNetwork:
         exact ranks)."""
         if center not in self.tensors:
             raise ParameterError("center is not a node")
-        order, parent_edge = self._bfs_order(center)
-        for u in reversed(order[1:]):
-            self._push(u, parent_edge[u])
+        # children first, so a node absorbs its children's R factors (in
+        # reverse axes order) before it is factored itself
+        for u, _, e in reversed(walk(center, self.neighbors)[1:]):
+            self._push(u, e)
         self.center = center
         if not np.any(self.tensors[center]):
             raise NormalizationError("cannot canonicalize the zero state")
@@ -312,18 +281,16 @@ class TreeTensorNetwork:
     def move_center(self, to: int) -> "TreeTensorNetwork":
         if self.center is None:
             raise ParameterError("no center set; canonicalize first")
-        # walk the tree path from the current center
-        _, parent_edge = self._bfs_order(to)
-        path = []
-        u = self.center
-        while u != to:
-            e = parent_edge[u]
-            path.append((u, e))
-            u = self.edges[e].other(u)
-        for u, e in path:
-            self._push(u, e)
-        self.center = to
+        self._climb(to, {u: (p, e) for u, p, e in walk(to, self.neighbors)})
         return self
+
+    def _climb(self, to: int, up: dict) -> None:
+        """Push the center along up-links, node -> (parent, bond), until
+        it reaches `to`, an ancestor of the center in that rooting."""
+        while self.center != to:
+            parent, e = up[self.center]
+            self._push(self.center, e)
+            self.center = parent
 
     def norm(self) -> float:
         if self.center is not None:
@@ -331,26 +298,24 @@ class TreeTensorNetwork:
         return math.sqrt(max(0.0, self._norm2()))
 
     def _norm2(self) -> float:
-        root = next(iter(self.tensors))
-
-        def msg(u: int, pe: int | None) -> np.ndarray:
+        # children first; a node's message, keyed by its parent bond (None
+        # at the root), is consumed by the parent in the parent's axes order
+        msgs: dict = {}
+        for u, _, pe in reversed(walk(next(iter(self.tensors)),
+                                      self.neighbors)):
             t = self.tensors[u]
             legs = list(self.axes[u])
             for e in self.axes[u]:
-                ed = self.edges[e]
-                if ed.is_phys or e == pe:
-                    continue
-                m = msg(ed.other(u), e)
-                t = np.tensordot(t, m, axes=(legs.index(e), 0))
-                legs = [x for x in legs if x != e] + [e]
+                if e in msgs:
+                    t = np.tensordot(t, msgs.pop(e), axes=(legs.index(e), 0))
+                    legs = [x for x in legs if x != e] + [e]
             # pair every leg with the conjugate tensor except the parent bond
             tc = np.conj(self.tensors[u])
             mine = [legs.index(x) for x in self.axes[u] if x != pe]
             theirs = [i for i, x in enumerate(self.axes[u]) if x != pe]
-            out = np.tensordot(t, tc, axes=(mine, theirs))
-            return out  # (d_pe, d_pe) or scalar at the root
-
-        return float(np.real(msg(root, None)))
+            # (d_pe, d_pe), or a scalar at the root
+            msgs[pe] = np.tensordot(t, tc, axes=(mine, theirs))
+        return float(np.real(msgs[None]))
 
     def normalize(self) -> "TreeTensorNetwork":
         nrm = self.norm()
@@ -417,19 +382,15 @@ class TreeTensorNetwork:
         if chi is not None and chi < 1:
             raise ParameterError("chi must be >= 1")
         start = len(self.ledger.steps)
-
-        def sweep(u: int, parent: int | None) -> None:
-            for e in list(self.axes[u]):
-                ed = self.edges[e]
-                if ed.is_phys or e == parent:
-                    continue
-                v = ed.other(u)
-                self.truncate_bond(e, chi=chi, tol=tol,
-                                   renormalize=renormalize)
-                sweep(v, e)
-                self.move_center(u)
-
-        sweep(self.center, None)
+        # bonds in preorder from the center; before each one the center
+        # climbs back, one bond at a time, to the bond's parent end
+        root = self.center
+        order = walk(root, self.neighbors)
+        up = {u: (p, e) for u, p, e in order}
+        for _, p, e in order[1:]:
+            self._climb(p, up)
+            self.truncate_bond(e, chi=chi, tol=tol, renormalize=renormalize)
+        self._climb(root, up)
         return FidelityLedger(list(self.ledger.steps[start:]))
 
     def bond_singulars(self, e: int) -> np.ndarray:
@@ -450,11 +411,8 @@ class TreeTensorNetwork:
         the center."""
         if self.center is None:
             raise ParameterError("no center set")
-        _, parent_edge = self._bfs_order(self.center)
         worst = 0.0
-        for u, pe in parent_edge.items():
-            if pe is None:
-                continue
+        for u, _, pe in walk(self.center, self.neighbors)[1:]:
             mat, _ = _unfold(self.tensors[u], self.axes[u].index(pe))
             gram = mat.conj().T @ mat
             worst = max(worst, float(np.max(np.abs(
@@ -470,27 +428,27 @@ class TreeTensorNetwork:
         size = 1
         for e in phys.values():
             size *= self.edge_dim(e)
-        if size > CONTRACT_GUARD:
-            raise CapacityError("dense contraction above the 2^24 guard")
+        if size > 1 << MAX_DENSE_QUBITS:
+            raise CapacityError(
+                f"dense contraction above the 2^{MAX_DENSE_QUBITS} guard")
 
         root = self.center if self.center is not None \
             else next(iter(self.tensors))
-
-        def rec(u: int, pe: int | None) -> tuple[np.ndarray, list[int]]:
+        # children first: each subtree's contraction and its open legs,
+        # keyed by its parent bond, folded into the parent in axes order
+        subs: dict = {}
+        for u, _, pe in reversed(walk(root, self.neighbors)):
             t = self.tensors[u]
             legs = list(self.axes[u])
             for e in self.axes[u]:
-                ed = self.edges[e]
-                if ed.is_phys or e == pe:
-                    continue
-                sub, sublegs = rec(ed.other(u), e)
-                t = np.tensordot(t, sub, axes=(legs.index(e),
-                                               sublegs.index(e)))
-                legs = ([x for x in legs if x != e]
-                        + [x for x in sublegs if x != e])
-            return t, legs
-
-        t, legs = rec(root, None)
+                if e in subs:
+                    sub, sublegs = subs.pop(e)
+                    t = np.tensordot(t, sub, axes=(legs.index(e),
+                                                   sublegs.index(e)))
+                    legs = ([x for x in legs if x != e]
+                            + [x for x in sublegs if x != e])
+            subs[pe] = t, legs
+        t, legs = subs[None]
         perm = [legs.index(phys[lab]) for lab in sorted(phys)]
         return np.transpose(t, perm)
 
@@ -508,8 +466,10 @@ class TreeTensorNetwork:
         col = {lab: i for i, lab in enumerate(labels)}
         root = self.center if self.center is not None \
             else next(iter(self.tensors))
-
-        def rec(u: int, pe: int | None) -> np.ndarray:
+        # children first: each subtree's (batch, d_pe) amplitudes, keyed by
+        # its parent bond, contracted into the parent in axes order
+        subs: dict = {}
+        for u, _, pe in reversed(walk(root, self.neighbors)):
             t = self.tensors[u]
             legs = list(self.axes[u])
             # fix physical axes with advanced indexing (batch axis in front)
@@ -537,17 +497,15 @@ class TreeTensorNetwork:
                 legs = list(legs)
             # t: (batch, remaining bond legs...) in `legs` order
             for e in list(legs):
-                if e == pe:
+                if e not in subs:
                     continue
-                sub = rec(self.edges[e].other(u), e)  # (batch, d_e)
                 i = legs.index(e)
-                t = np.einsum(t, [0, *range(1, t.ndim)], sub, [0, i + 1],
+                t = np.einsum(t, [0, *range(1, t.ndim)], subs.pop(e),
+                              [0, i + 1],
                               [0, *(j for j in range(1, t.ndim) if j != i + 1)])
                 legs.pop(i)
-            return t  # (batch, d_pe) or (batch,)
-
-        out = rec(root, None)
-        return out.reshape(assignments.shape[0])
+            subs[pe] = t  # (batch, d_pe) or (batch,)
+        return subs[None].reshape(assignments.shape[0])
 
     def fidelity(self, other) -> float:
         """Squared overlap with another network or a dense tensor/vector,
@@ -625,7 +583,7 @@ class TreeTensorNetwork:
                        "shape": list(self.tensors[u].shape)}
                       for u in node_order],
             "edges": [{"id": e, "nodes": list(ed.nodes),
-                       "label": _label_to_json(ed.label)}
+                       "label": label_to_json(ed.label)}
                       for e, ed in sorted(self.edges.items())],
             "ledger": [[e, f] for e, f in self.ledger.steps],
         }
@@ -640,7 +598,7 @@ class TreeTensorNetwork:
         sidecar = {
             "bonds": [list(ed.nodes) for ed in self.edges.values()
                       if not ed.is_phys],
-            "leaves": [[ed.nodes[0], _label_to_json(ed.label),
+            "leaves": [[ed.nodes[0], label_to_json(ed.label),
                         self.edge_dim(e)]
                        for e, ed in sorted(self.edges.items()) if ed.is_phys],
             "bond_dims": {str(e): self.edge_dim(e)
@@ -667,7 +625,7 @@ class TreeTensorNetwork:
                     buf, dtype=complex).reshape(shape).copy()
                 axes[rec["id"]] = list(rec["axes"])
         edges = {rec["id"]: Edge(tuple(rec["nodes"]),
-                                 _label_from_json(rec["label"]))
+                                 label_from_json(rec["label"]))
                  for rec in header["edges"]}
         ledger = FidelityLedger([(int(e), float(f))
                                  for e, f in header["ledger"]])
@@ -675,15 +633,16 @@ class TreeTensorNetwork:
                    ledger=ledger)
 
 
-def _label_to_json(label):
+def label_to_json(label):
+    """JSON form of a leg or wire label; tuples nest to any depth."""
     if isinstance(label, tuple):
-        return {"pair": list(label)}
+        return {"pair": [label_to_json(x) for x in label]}
     return label
 
 
-def _label_from_json(obj):
-    if isinstance(obj, dict) and "pair" in obj:
-        return tuple(obj["pair"])
+def label_from_json(obj):
+    if isinstance(obj, dict):
+        return tuple(label_from_json(x) for x in obj["pair"])
     return obj
 
 
@@ -711,16 +670,19 @@ def from_dense(tensor: np.ndarray, topo: TreeTopology,
 
     tensors: dict[int, np.ndarray] = {}
     axis_order: dict[int, list] = {}
-
-    def build(u: int, parent: int | None, t: np.ndarray, legs: list) -> None:
-        # legs: descriptor per axis of t, ("phys", lab) or ("bond", (a, b))
+    # parents first: each node splits off one child at a time and leaves
+    # the child's share, with its axis descriptors ("phys", lab) or
+    # ("bond", (a, b)), for the child's turn
+    todo = {root: (np.asarray(tensor, dtype=complex),
+                   [("phys", lab) for lab in labels])}
+    for u, parent, _ in walk(root, adj.__getitem__):
+        t, legs = todo.pop(u)
         order: list = []
         if parent is not None:
             order.append(("bond", (parent, u)))
-        for v in adj[u]:
+        for v, bond in adj[u]:
             if v == parent:
                 continue
-            bond = (u, v) if (u, v) in topo.bonds else (v, u)
             child_labs = side_labels[(bond, v)]
             cols = [i for i, d in enumerate(legs)
                     if d[0] == "phys" and d[1] in child_labs]
@@ -731,21 +693,16 @@ def from_dense(tensor: np.ndarray, topo: TreeTopology,
             r = max(1, int((s > cutoff * s[0]).sum())) if s.size else 1
             keep = uu[:, :r] * s[:r]
             child_t = vh[:r].reshape((r,) + tuple(t.shape[i] for i in cols))
-            child_legs = [("bond", (u, v))] + [legs[i] for i in cols]
-            build(v, u, child_t, child_legs)
+            todo[v] = child_t, [("bond", (u, v))] + [legs[i] for i in cols]
             t = keep.reshape(tuple(t.shape[i] for i in rows) + (r,))
             legs = [legs[i] for i in rows] + [("bond", (u, v))]
-            order_bond = ("bond", (u, v))
-            if order_bond not in order:
-                order.append(order_bond)
+            order.append(("bond", (u, v)))
         for lab in sorted(leaves_at.get(u, [])):
             order.append(("phys", lab))
         perm = [legs.index(d) for d in order]
         tensors[u] = np.transpose(t, perm)
         axis_order[u] = order
 
-    init_legs = [("phys", lab) for lab in labels]
-    build(root, None, np.asarray(tensor, dtype=complex), init_legs)
     net = TreeTensorNetwork.from_topology(topo, tensors, axis_order)
     return net.canonicalize(root)
 

@@ -230,6 +230,17 @@ def test_with_inverse_dft_pricing():
     assert kinds.count("qft") == 1
 
 
+def test_with_inverse_dft_leaves_its_input_unchanged():
+    # two dimensions, so appending fresh bits renumbers the wires
+    circ, _ = synthesize(qubitize(random_mps(2, 4, 2,
+                                             np.random.default_rng(45))))
+    before = [list(row["targets"]) for row in circ.cost.breakdown]
+    full = with_inverse_dft(circ, 3)
+    assert [row["targets"] for row in circ.cost.breakdown] == before
+    assert full.qubits == 6
+    assert full.cost.breakdown[0]["targets"] != before[0]
+
+
 def test_circuit_json_roundtrip(tmp_path):
     net = random_mps(3, 2, 2, np.random.default_rng(44))
     circ, _ = synthesize(net)

@@ -6,7 +6,7 @@ import pytest
 from ttnprep import ParameterError, TreeTopology
 from ttnprep.topology import (canonical_leaf_tree, caterpillar_leaf_tree,
                               enumerate_leaf_trees, normalize_leaf_tree,
-                              random_leaf_tree, tree_distances)
+                              random_leaf_tree, tree_distances, walk)
 
 
 def _idlabels(num_leaves):
@@ -131,6 +131,24 @@ def test_tree_distances_path():
     assert d[1, 2] == 1
     assert d[0, 0] == 0
     assert d[3, 0] == 3
+
+
+def test_walk_preorder_in_neighbor_order():
+    # 0 has children 2 then 1; 2 has children 3 then 4; 4 has child 5
+    adj = {0: [(2, "a"), (1, "b")], 1: [(0, "b")],
+           2: [(0, "a"), (3, "c"), (4, "d")], 3: [(2, "c")],
+           4: [(2, "d"), (5, "e")], 5: [(4, "e")]}
+    assert walk(0, adj.__getitem__) == [
+        (0, None, None), (2, 0, "a"), (3, 2, "c"), (4, 2, "d"),
+        (5, 4, "e"), (1, 0, "b")]
+    assert [u for u, _, _ in walk(4, adj.__getitem__)] == [4, 2, 0, 1, 3, 5]
+
+
+def test_walk_short_on_forest_and_ends_on_cycle():
+    forest = {0: [(1, None)], 1: [(0, None)], 2: [(3, None)], 3: [(2, None)]}
+    assert [u for u, _, _ in walk(2, forest.__getitem__)] == [2, 3]
+    ring = {i: [((i + 1) % 4, None), ((i - 1) % 4, None)] for i in range(4)}
+    assert [u for u, _, _ in walk(0, ring.__getitem__)] == [0, 1, 2, 3]
 
 
 def test_mps_topology_bipartitions_are_contiguous():

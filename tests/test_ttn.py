@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ttnprep import (FidelityLedger, NormalizationError, ParameterError,
-                     TreeTensorNetwork, TreeTopology, entanglement_entropy,
-                     frobenius_from_fidelity, make_covariance)
+from ttnprep import (Edge, FidelityLedger, NormalizationError,
+                     ParameterError, TreeTensorNetwork, TreeTopology,
+                     entanglement_entropy, frobenius_from_fidelity,
+                     make_covariance)
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
 from ttnprep.topology import enumerate_leaf_trees
 from ttnprep.ttn import from_dense, random_mps
@@ -196,6 +197,21 @@ def test_truncate_separable_state_padded_bonds():
     assert max(net.bond_dims().values()) == 1
 
 
+def test_truncate_sweeps_bonds_in_preorder_from_center():
+    # each cut sees the cuts before it, so the order is part of the result:
+    # depth first from the center, each node's bonds in axes order
+    edges = [(6, 7), (6, 8), (6, 9), (0, 7), (1, 7), (2, 8), (3, 8),
+             (4, 9), (5, 9)]
+    topo = TreeTopology.from_leaf_tree(edges, 6, 2)
+    net = from_dense(np.random.default_rng(3).normal(size=(2,) * 6), topo)
+    net.canonicalize(6)
+    led = net.truncate(chi=1)
+    assert [set(net.edges[e].nodes) for e, _ in led.steps] == [
+        {6, 7}, {0, 7}, {1, 7}, {6, 8}, {2, 8}, {3, 8}, {6, 9}, {4, 9},
+        {5, 9}]
+    assert net.center == 6
+
+
 def test_truncate_gaussian_pair_ledger_matches_spectrum():
     # rho = 0.6 coefficient matrix: kept mass at chi=2 is about
     # lambda0 + lambda1 = 8/9 + 8/81
@@ -319,6 +335,20 @@ def test_save_load_roundtrip(tmp_path):
         bad = tmp_path / "junk.ttn"
         bad.write_bytes(b"not a container")
         TreeTensorNetwork.load(bad)
+
+
+def test_save_load_nested_labels(tmp_path):
+    # labels such as ((d, j), k), as qubitize applied twice makes them
+    net = random_mps(3, 2, 2, np.random.default_rng(21))
+    for e, ed in list(net.edges.items()):
+        if ed.is_phys:
+            net.edges[e] = Edge(ed.nodes, ((ed.label, 0), 1))
+    path = tmp_path / "nested.ttn"
+    net.save(path)
+    back = TreeTensorNetwork.load(path)
+    assert back.labels() == net.labels() == [((i, 0), 1) for i in range(3)]
+    np.testing.assert_array_equal(back.contract_to_vector(),
+                                  net.contract_to_vector())
 
 
 def test_from_dense_roundtrip_on_tree():
