@@ -18,6 +18,7 @@ Dense constructions are desk-scale verification tools and are guarded at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,19 @@ class FourierEvaluator:
         return self.coeff(index_to_frequency(s, self.grid.M))
 
 
+def _dense_quadratic(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_ij mat[i, j] v[b_i] v[b_j] at every grid point (b_1, ..., b_D),
+    D = len(mat), as a (len(v),)*D tensor; terms are added in (i, j)
+    order over broadcast axes."""
+    D = len(mat)
+    axes = [v.reshape((1,) * d + (-1,) + (1,) * (D - 1 - d)) for d in range(D)]
+    quad = np.zeros((len(v),) * D)
+    for i in range(D):
+        for j in range(D):
+            quad = quad + mat[i, j] * axes[i] * axes[j]
+    return quad
+
+
 def dense_coeff_tensor(ev: FourierEvaluator) -> np.ndarray:
     """All M^dim coefficients as a tensor indexed by stored index per axis,
     normalized to unit L2 mass. Guarded at m*dim <= 24."""
@@ -148,14 +162,10 @@ def dense_coeff_tensor(ev: FourierEvaluator) -> np.ndarray:
     if grid.fourier_qubits * D > MAX_DENSE_QUBITS:
         raise CapacityError("dense coefficient tensor above the "
                             f"{MAX_DENSE_QUBITS}-qubit guard")
-    kaxes = [index_to_frequency(np.arange(M), M).astype(float).reshape(
-        (1,) * d + (M,) + (1,) * (D - 1 - d)) for d in range(D)]
-    quad = np.zeros((M,) * D)
-    for i in range(D):
-        for j in range(D):
-            quad = quad + ev.cov.matrix[i, j] * kaxes[i] * kaxes[j]
-    ksum = sum(k.astype(int) for k in kaxes)
+    k = index_to_frequency(np.arange(M), M)
+    ksum = functools.reduce(np.add.outer, [k] * D)
     sign = 1.0 - 2.0 * (ksum & 1)
+    quad = _dense_quadratic(ev.cov.matrix, k.astype(float))
     t = sign * np.exp(-ev._c * quad)
     return t / np.linalg.norm(t)
 
@@ -173,12 +183,7 @@ def exact_target(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     N = 1 << n
     prec = np.linalg.inv(cov.matrix)
     x = (-a / 2.0 + a * np.arange(N) / N)
-    xaxes = [x.reshape((1,) * d + (N,) + (1,) * (D - 1 - d)) for d in range(D)]
-    quad = np.zeros((N,) * D)
-    for i in range(D):
-        for j in range(D):
-            quad = quad + prec[i, j] * xaxes[i] * xaxes[j]
-    t = np.exp(-quad / 4.0)
+    t = np.exp(-_dense_quadratic(prec, x) / 4.0)
     return t / np.linalg.norm(t)
 
 

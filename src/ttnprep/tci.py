@@ -37,6 +37,13 @@ from .ttn import TreeTensorNetwork
 MAXVOL_DELTA = 1e-2
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width bytes key per int64 index row, for any axis sizes:
+    equal rows give equal keys, and the keys sort, hash and compare."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
 @dataclass
 class BlackBoxTensor:
     """Pointwise tensor access with caching and an evaluation counter.
@@ -56,12 +63,6 @@ class BlackBoxTensor:
         self.dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in self.dims):
             raise ParameterError("axis dimensions must be >= 1")
-        self._flat_ok = math.prod(self.dims) < (1 << 62)
-
-    def _keys(self, idx: np.ndarray) -> np.ndarray:
-        if self._flat_ok:
-            return np.ravel_multi_index(idx.T, self.dims)
-        return np.array([row.tobytes() for row in idx])
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
@@ -69,34 +70,20 @@ class BlackBoxTensor:
             raise ParameterError("index width does not match arity")
         if np.any(idx < 0) or np.any(idx >= np.array(self.dims)):
             raise ParameterError("index out of range")
-        keys = self._keys(idx)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        vals = np.empty(len(uniq), dtype=complex)
-        missing = []
-        for i, k in enumerate(uniq):
-            v = self._cache.get(k)
-            if v is None:
-                missing.append(i)
-            else:
-                vals[i] = v
+        uniq, first, inverse = np.unique(_row_keys(idx), return_index=True,
+                                         return_inverse=True)
+        keys = uniq.tolist()
+        vals = list(map(self._cache.get, keys))
+        missing = [i for i, v in enumerate(vals) if v is None]
         if missing:
-            # recover one representative row per missing unique key
-            first_pos = np.zeros(len(uniq), dtype=int)
-            order = np.argsort(inverse, kind="stable")
-            seen_u, first_idx = np.unique(inverse[order], return_index=True)
-            first_pos[seen_u] = order[first_idx]
-            miss_rows = idx[first_pos[missing]]
-            new_vals = np.asarray(self.fn(miss_rows), dtype=complex)
+            new_vals = np.asarray(self.fn(idx[first[missing]]), dtype=complex)
             if new_vals.shape != (len(missing),):
                 raise ParameterError("black box returned wrong batch shape")
-            for i, k_i in enumerate(missing):
-                self._cache[uniq[k_i]] = new_vals[i]
-                vals[k_i] = new_vals[i]
+            for i, v in zip(missing, new_vals.tolist()):
+                self._cache[keys[i]] = vals[i] = v
             self.evals += len(missing)
-            if new_vals.size:
-                self.max_abs = max(self.max_abs,
-                                   float(np.abs(new_vals).max()))
-        return vals[inverse]
+            self.max_abs = max(self.max_abs, float(np.abs(new_vals).max()))
+        return np.array(vals, dtype=complex)[inverse]
 
     @classmethod
     def from_fourier(cls, evaluator) -> "BlackBoxTensor":
@@ -140,17 +127,21 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA,
     return sel
 
 
+def _low_biased(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """Indices in [0, d) at geometric offsets from 0, either sign, so
+    negative offsets wrap to the top of the axis."""
+    return ((rng.geometric(0.4, size=count) - 1)
+            * rng.choice((1, -1), size=count)) % d
+
+
 def _probe_indices(rng: np.random.Generator, dims: tuple[int, ...],
                    count: int) -> np.ndarray:
     """Random full indices, mixing uniform draws with draws biased toward
     low indices (wrapping negatives), where seeded pivots live."""
-    L = len(dims)
-    out = np.empty((count, L), dtype=np.int64)
+    out = np.empty((count, len(dims)), dtype=np.int64)
     for i, d in enumerate(dims):
         uniform = rng.integers(0, d, size=count)
-        offs = rng.geometric(0.4, size=count) - 1
-        signs = rng.choice((1, -1), size=count)
-        biased = (offs * signs) % d
+        biased = _low_biased(rng, d, count)
         pick = rng.random(count) < 0.5
         out[:, i] = np.where(pick, uniform, biased)
     return out
@@ -217,9 +208,6 @@ class _PivotState:
     def snapshot(self) -> dict:
         return {k: v.copy() for k, v in self.pivots.items()}
 
-    def restore(self, snap: dict) -> None:
-        self.pivots = {k: v.copy() for k, v in snap.items()}
-
 
 def _product_rows(parts, L: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Cartesian product of pivot blocks into full (rows, L) index arrays;
@@ -279,7 +267,7 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     probe_vals = f(probe_set)
 
     residual_hist: list[float] = []
-    best = (math.inf, state.snapshot())
+    best = (math.inf, state.snapshot(), None)
     converged = False
     sweeps_run = 0
     for sweep in range(sweeps):
@@ -291,14 +279,15 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
         net = _assemble(f, state)
         resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals)))
         if resid < best[0]:
-            best = (resid, state.snapshot())
+            best = (resid, state.snapshot(), net)
         residual_hist.append(best[0])
         scale = max(f.max_abs, 1e-300)
         if best[0] <= tol * scale:
             converged = True
             break
-    state.restore(best[1])
-    net = _assemble(f, state)
+    _, state.pivots, net = best
+    if net is None:  # no sweep gave a finite residual: the seed pivots
+        net = _assemble(f, state)
     info = {"evals": f.evals, "residuals": residual_hist,
             "converged": converged, "sweeps_run": sweeps_run,
             "pivots": state.snapshot(),
@@ -357,10 +346,8 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
             break
         cfull = _merge(cand_u, cols_u, ext, cols_v, L)
         c = f(cfull).reshape(len(cand_u), len(ext))
-        rows_now = _locate_rows(cand_u, state.pivots[(bond, u)])
-        p_now = b[rows_now]
         try:
-            proj = b @ solve(p_now, c[rows_now])
+            proj = b @ solve(b[rows], c[rows])
         except np.linalg.LinAlgError as exc:
             raise PivotDegeneracyError("singular pivot block during growth") \
                 from exc
@@ -376,26 +363,12 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
         state.pivots[(bond, u)] = cand_u[rows]
 
 
-def _locate_rows(cand_u: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Positions of each chosen pivot row inside the candidate block."""
-    view = {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(cand_u))}
-    return np.array([view[np.ascontiguousarray(row).tobytes()]
-                     for row in chosen], dtype=int)
-
-
 def _dedupe_against(ext: np.ndarray, existing: np.ndarray) -> np.ndarray:
-    have = {np.ascontiguousarray(r).tobytes() for r in existing}
-    keep = [i for i, r in enumerate(np.ascontiguousarray(ext))
-            if r.tobytes() not in have]
-    # also drop duplicates inside ext itself
-    out = []
-    seen = set(have)
-    for i in keep:
-        key = np.ascontiguousarray(ext[i]).tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
-    return ext[out]
+    """The rows of ext not in existing, each once, in first-occurrence
+    order."""
+    keys = _row_keys(ext)
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return ext[first[~np.isin(keys[first], _row_keys(existing))]]
 
 
 def _sample_side(state: _PivotState, bond, v: int, count: int,
@@ -413,28 +386,18 @@ def _sample_side(state: _PivotState, bond, v: int, count: int,
     for kind, key in state.legs_of[v]:
         if kind != "phys":
             continue
-        c = state.col[key]
-        d = state.dims[key]
-        offs = (rng.geometric(0.4, size=count) - 1) * rng.choice((1, -1),
-                                                                 size=count)
+        low = _low_biased(rng, state.dims[key], count)
         redraw = rng.random(count) < 0.5
-        out[redraw, c] = offs[redraw] % d
+        out[redraw, state.col[key]] = low[redraw]
     full = out[:, cols_v]
     # a quarter of the samples leave the nested family entirely; a side
     # whose node carries only bonds could otherwise never grow, since all
     # its nested combinations start out at the shared seed pivot
     wild = rng.random(count) < 0.25
     if wild.any():
-        nw = int(wild.sum())
-        draw = np.empty((nw, len(cols_v)), dtype=np.int64)
-        for i, c in enumerate(cols_v):
-            d = state.dims[state.labels[c]]
-            uniform = rng.integers(0, d, size=nw)
-            offs = (rng.geometric(0.4, size=nw) - 1) * rng.choice(
-                (1, -1), size=nw)
-            pick = rng.random(nw) < 0.5
-            draw[:, i] = np.where(pick, uniform, offs % d)
-        full[wild] = draw
+        full[wild] = _probe_indices(
+            rng, [state.dims[state.labels[c]] for c in cols_v],
+            int(wild.sum()))
     return full
 
 

@@ -6,6 +6,7 @@ import pytest
 from ttnprep import (BlackBoxTensor, ParameterError, RankError, TreeTopology,
                      make_covariance, maxvol, tci_build)
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
+from ttnprep.tci import _dedupe_against
 from ttnprep.topology import enumerate_leaf_trees
 
 
@@ -49,20 +50,33 @@ def test_maxvol_degenerate_and_shape_errors():
 
 
 def test_black_box_counts_unique_evaluations():
-    calls = []
+    # the last two boxes have index spaces of 2^64 and 2^80, past int64
+    for dims in [(4, 4), (16,) * 16, (2 ** 40, 2 ** 40)]:
+        calls = []
 
-    def fn(idx):
-        calls.append(len(idx))
-        return np.ones(len(idx))
+        def fn(idx):
+            calls.append(len(idx))
+            return idx[:, -1] + 1.0
 
-    f = BlackBoxTensor((4, 4), fn)
-    idx = np.array([[0, 1], [2, 3], [0, 1]])
-    out = f(idx)
-    np.testing.assert_array_equal(out, np.ones(3))
-    assert f.evals == 2  # duplicate row served once
-    f(idx)
-    assert f.evals == 2  # fully cached now
-    assert sum(calls) == 2
+        f = BlackBoxTensor(dims, fn)
+        top = np.array(dims, dtype=np.int64) - 1
+        low = np.zeros(len(dims), dtype=np.int64)
+        low[-1] = 1
+        idx = np.array([low, top, low])
+        out = f(idx)
+        np.testing.assert_array_equal(out, idx[:, -1] + 1.0)
+        assert f.evals == 2  # duplicate row served once
+        np.testing.assert_array_equal(f(idx[::-1]), out[::-1])
+        assert f.evals == 2  # fully cached now
+        assert sum(calls) == 2
+
+
+def test_dedupe_against_drops_known_and_repeated_rows():
+    existing = np.array([[0, 1], [2, 2]])
+    ext = np.array([[3, 0], [0, 1], [1, 1], [3, 0], [2, 2], [0, 0], [1, 1]])
+    np.testing.assert_array_equal(_dedupe_against(ext, existing),
+                                  [[3, 0], [1, 1], [0, 0]])
+    assert _dedupe_against(ext[[1, 4]], existing).shape == (0, 2)
 
 
 def test_black_box_validates_indices():
@@ -126,27 +140,39 @@ def test_tci_on_branching_tree_topology():
     assert fid >= 0.999
 
 
+def _assert_exact_on_pivot_crosses(f, topo, net, info, tol):
+    """The network equals f, to tol * max_abs, on every pivot-pair
+    configuration of every bond."""
+    labels = sorted(topo.labels())
+    col = {lab: i for i, lab in enumerate(labels)}
+    for bond, left, right in topo.bipartitions():
+        pu = info["pivots"][(bond, bond[0])]
+        pv = info["pivots"][(bond, bond[1])]
+        full = np.zeros((len(pu), len(pv), len(labels)), dtype=np.int64)
+        full[:, :, [col[lab] for lab in sorted(left)]] = pu[:, None, :]
+        full[:, :, [col[lab] for lab in sorted(right)]] = pv[None, :, :]
+        full = full.reshape(-1, len(labels))
+        np.testing.assert_allclose(net.evaluate(full), f(full), rtol=0,
+                                   atol=tol * f.max_abs)
+
+
 def test_interpolation_exact_on_pivot_crosses():
     # the assembled network reproduces f exactly on pivot-pair configurations
     f, ev = _gaussian_box(3, 0.5, 3)
     topo = TreeTopology.mps([0, 1, 2], 8)
     net, info = tci_build(f, topo, chi=4, sweeps=4, seed=2)
-    labels = sorted(topo.labels())
-    col = {lab: i for i, lab in enumerate(labels)}
-    scale = f.max_abs
-    for bond, left, right in topo.bipartitions():
-        pu = info["pivots"][(bond, bond[0])]
-        pv = info["pivots"][(bond, bond[1])]
-        cols_u = [col[lab] for lab in sorted(left)]
-        cols_v = [col[lab] for lab in sorted(right)]
-        for ru in pu:
-            for rv in pv:
-                full = np.zeros(len(labels), dtype=np.int64)
-                full[cols_u] = ru
-                full[cols_v] = rv
-                want = f(full[None, :])[0]
-                got = net.evaluate(full[None, :])[0]
-                assert abs(got - want) <= 1e-10 * scale
+    _assert_exact_on_pivot_crosses(f, topo, net, info, 1e-10)
+
+
+def test_interpolation_exact_on_pivot_crosses_past_int64_keys():
+    # D=16, m=4: the index space is 16^16 = 2^64, past the dense cap
+    cov = make_covariance("random", 16, sigma_max=0.2, seed=0)
+    f = BlackBoxTensor.from_fourier(
+        FourierEvaluator(GridSpec(16, 8, 20.0, 4), cov))
+    topo = TreeTopology.mps(list(range(16)), 16)
+    net, info = tci_build(f, topo, chi=2, sweeps=1, seed=0)
+    assert max(info["bond_dims"].values()) == 2
+    _assert_exact_on_pivot_crosses(f, topo, net, info, 1e-10)
 
 
 def test_probe_residuals_reported_nonincreasing():
