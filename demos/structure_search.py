@@ -17,8 +17,8 @@ import numpy as np
 
 from ttnprep.fourier import FourierEvaluator, GridSpec
 from ttnprep.gaussian import make_covariance
+from ttnprep.sim import interpolate
 from ttnprep.structopt import optimize_structure
-from ttnprep.tci import BlackBoxTensor, tci_build
 from ttnprep.topology import (TreeTopology, canonical_leaf_tree,
                               caterpillar_leaf_tree, random_leaf_tree)
 
@@ -37,19 +37,17 @@ def main():
 
     cov = make_covariance("tree", args.dim, edges=hidden, sigma=3.0)
     grid = GridSpec(args.dim, 5, 16.0, 3)
-    ev = FourierEvaluator(grid, cov)
 
     # start from a chain whose leaves are randomly permuted
     start = [(int(perm[u]) if u < args.dim else u,
               int(perm[v]) if v < args.dim else v)
              for u, v in caterpillar_leaf_tree(args.dim)]
     topo = TreeTopology.from_leaf_tree(start, args.dim, grid.M)
-    net, info = tci_build(BlackBoxTensor.from_fourier(ev), topo,
-                          chi=32, sweeps=4, seed=args.seed)
+    net, tci_rec = interpolate(FourierEvaluator(grid, cov), topo,
+                               chi_prime=32, sweeps=4, seed=args.seed)
     print("interpolated on shuffled chain: "
-          f"residual {info['residuals'][-1]:.2e}")
+          f"relative residual {tci_rec['tci_residual']:.2e}")
 
-    net.canonicalize(min(net.tensors))
     net, report = optimize_structure(net, chi=args.chi)
     for c in report["choices"]:
         if not c.accepted:

@@ -45,15 +45,14 @@ class QftTtn:
     """Inverse-DFT network for one dimension: a copy-tensor spine of bond
     dimension 2**m with one phase tensor per output qubit.
 
-    phases[j] has shape (2**(j+1), 2) with entries exp(2j*pi*k*l/2**(j+1)),
-    rows indexed by the wavenumber residue k mod 2**(j+1).  Contracted
-    against a stored wavenumber index the network reproduces the columns
-    of the inverse-DFT embedding matrix.
+    Output qubit j carries the phases exp(2j*pi*k*l/2**(j+1)), l in {0, 1},
+    of the wavenumber residue k mod 2**(j+1).  Contracted against a
+    stored wavenumber index the network reproduces the columns of the
+    inverse-DFT embedding matrix.
     """
 
     n: int
     m: int
-    phases: tuple
 
     @property
     def copy_bond(self) -> int:
@@ -71,15 +70,17 @@ class QftTtn:
         ks = np.where(ks < M // 2, ks, ks - M) % (1 << self.n)
         vals = ks
         tensors = []
+        l = np.arange(2)[None, :]
         for t in range(self.n):
-            j = self.n - t - 1          # phase-tensor index at this step
-            mod_out = 1 << j
-            out_vals = np.unique(vals % mod_out)
-            pos = {v: i for i, v in enumerate(out_vals)}
-            a = self.phases[j]
+            j = self.n - t - 1          # output qubit of this step
+            size = 1 << (j + 1)
+            out_vals, out_pos = np.unique(vals % (size // 2),
+                                          return_inverse=True)
+            # phases of the (at most M) residues in use only
+            k = (vals % size)[:, None]
             T = np.zeros((len(vals), 2, len(out_vals)), dtype=complex)
-            for i, v in enumerate(vals):
-                T[i, :, pos[v % mod_out]] = a[v % (mod_out * 2)] / np.sqrt(2)
+            T[np.arange(len(vals)), :, out_pos] = \
+                np.exp(2j * np.pi * k * l / size) / np.sqrt(2)
             tensors.append(T)
             vals = out_vals
         tensors[-1] = tensors[-1][:, :, 0]
@@ -108,13 +109,7 @@ class QftTtn:
 def build_qft_ttn(n: int, m: int) -> QftTtn:
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    phases = []
-    for j in range(n):
-        size = 1 << (j + 1)
-        k = np.arange(size)[:, None]
-        l = np.arange(2)[None, :]
-        phases.append(np.exp(2j * np.pi * k * l / size))
-    return QftTtn(n, m, tuple(phases))
+    return QftTtn(n, m)
 
 
 def compose_and_compress(coeff_net: TreeTensorNetwork, qft: QftTtn,
@@ -197,10 +192,6 @@ class Placement:
             q = self.out_qubits
             return q * (q - 1) // 2
         return 1 << (self.in_qubits + self.out_qubits)
-
-    @property
-    def depth_cost(self) -> int:
-        return self.out_qubits if self.kind == "qft" else self.cnots
 
     def validate(self) -> None:
         p, q = self.in_qubits, self.out_qubits

@@ -19,16 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import scaling
-from .errors import (MAX_DENSE_QUBITS, ConfigError, ParameterError, TtnError,
-                     VerificationError)
-from .fourier import GridSpec
+from .errors import ConfigError, TtnError, VerificationError
+from .fourier import FourierEvaluator, GridSpec
 from .gaussian import (Bipartition, canonical_correlations,
                        closed_form_rank_bound, make_covariance, required_bond)
-from .sim import STRUCTURE_POLICIES, compile_circuit, verify_pipeline
+from .sim import (MODES, STRUCTURE_POLICIES, compile_circuit, interpolate,
+                  verify_pipeline)
 from .structopt import optimize_structure
-from .tci import BlackBoxTensor, tci_build
 from .topology import TreeTopology, caterpillar_leaf_tree
-from .fourier import FourierEvaluator
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,12 +67,10 @@ class RunConfig:
             raise ConfigError("box must be positive")
         if self.chi < 1 or (self.chi_prime is not None and self.chi_prime < 1):
             raise ConfigError("bond limits must be >= 1")
-        if self.mode not in ("qft-ttn", "qft-gates"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.structure not in STRUCTURE_POLICIES:
             raise ConfigError(f"unknown structure policy {self.structure!r}")
-        if self.structure == "exhaustive-optimal" and self.dim > 6:
-            raise ConfigError("exhaustive-optimal needs D <= 6")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if not isinstance(self.generator, dict) or "kind" not in self.generator:
@@ -179,12 +175,12 @@ def _interpolate(cfg: RunConfig, seed: int):
         topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(cfg.dim),
                                            cfg.dim, cfg.grid.M)
     chi_prime = cfg.chi_prime or max(2 * cfg.chi, 16)
-    box = BlackBoxTensor.from_fourier(FourierEvaluator(cfg.grid, cov))
-    net, info = tci_build(box, topo, chi=chi_prime, sweeps=cfg.sweeps,
-                          seed=seed)
-    rec = {"seed": seed, "chi_prime": chi_prime, "evals": info["evals"],
-           "converged": info["converged"],
-           "residual": info["residuals"][-1] / max(box.max_abs, 1e-300)}
+    net, tci_rec = interpolate(FourierEvaluator(cfg.grid, cov), topo,
+                               chi_prime, cfg.sweeps, seed)
+    rec = {"seed": seed, "chi_prime": chi_prime,
+           "evals": tci_rec["tci_evals"],
+           "converged": tci_rec["tci_converged"],
+           "residual": tci_rec["tci_residual"]}
     return net, rec
 
 
@@ -204,7 +200,6 @@ def cmd_optimize(cfg: RunConfig) -> int:
     """Interpolate, reshape toward lower entanglement, store the result."""
     out = Path(cfg.outdir)
     net, rec = _interpolate(cfg, cfg.seeds[0])
-    net.canonicalize(min(net.tensors))
     net, report = optimize_structure(net, chi=cfg.chi)
     out.mkdir(parents=True, exist_ok=True)
     net.save(out / "network.ttn")
@@ -242,9 +237,6 @@ def cmd_compile(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """Compile, simulate, reconcile the ledger; nonzero exit on a gap."""
-    if cfg.dim * cfg.n > MAX_DENSE_QUBITS:
-        raise ConfigError(
-            f"verify needs dim*n <= {MAX_DENSE_QUBITS} dense qubits")
     out = Path(cfg.outdir)
     record = verify_pipeline(
         cfg.covariance(cfg.seeds[0]), cfg.grid, cfg.chi, cfg.mode,
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chi", type=int)
     parser.add_argument("--chi-prime", type=int, dest="chi_prime")
     parser.add_argument("--sweeps", type=int)
-    parser.add_argument("--mode", choices=("qft-ttn", "qft-gates"))
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--structure", choices=STRUCTURE_POLICIES)
     parser.add_argument("--seeds", help="'0:20' range or '1,5,9' list")
     parser.add_argument("--chis", help="comma-separated bond limits")
@@ -412,7 +404,7 @@ def main(argv=None) -> int:
             overrides["generator"] = gen
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:

@@ -5,7 +5,7 @@ numerical failures with 3, verification failures with 4.
 """
 
 # Largest register held as a dense array anywhere in the package: 24 qubits,
-# 2**24 amplitudes. Every CapacityError is this cap.
+# 2**24 amplitudes.
 MAX_DENSE_QUBITS = 24
 
 
@@ -21,8 +21,9 @@ class ParameterError(ConfigError):
     """A single argument is outside its documented domain."""
 
 
-class CapacityError(TtnError):
-    """A dense object would exceed the desk-scale capacity guard."""
+class CapacityError(ConfigError):
+    """The instance is too large for a desk-scale guard: a dense object
+    past the cap, or a structure scan over too many trees."""
 
 
 class NumericalError(TtnError):

@@ -19,9 +19,8 @@ from .errors import ParameterError
 from .fourier import FourierEvaluator, GridSpec, exact_target
 from .gaussian import (Bipartition, canonical_correlations, make_covariance,
                        pair_spectrum, required_bond_profile)
-from .sim import baseline_comparison, verify_pipeline
+from .sim import baseline_comparison, interpolate, verify_pipeline
 from .structopt import optimize_structure
-from .tci import BlackBoxTensor, tci_build
 from .topology import (TreeTopology, canonical_leaf_tree,
                        caterpillar_leaf_tree, random_leaf_tree)
 
@@ -220,13 +219,10 @@ def recovery_study(D: int, chis, seeds, *, sigma: float = 3.0, n: int = 5,
         tree = random_leaf_tree(D, rng)
         perm = rng.permutation(D)
         cov = make_covariance("tree", D, edges=tree, sigma=sigma)
-        ev = FourierEvaluator(grid, cov)
-        box_t = BlackBoxTensor.from_fourier(ev)
-        net, _ = tci_build(box_t,
-                           TreeTopology.from_leaf_tree(
-                               _shuffled_caterpillar(D, perm), D, grid.M),
-                           chi=chi_prime, sweeps=sweeps, seed=seed)
-        net.canonicalize(min(net.tensors))
+        start = TreeTopology.from_leaf_tree(_shuffled_caterpillar(D, perm),
+                                            D, grid.M)
+        net, _ = interpolate(FourierEvaluator(grid, cov), start, chi_prime,
+                             sweeps, seed)
         want = canonical_leaf_tree(tree, ident)
         total += 1
         for chi in chis:

@@ -29,6 +29,8 @@ from .topology import (TreeTopology, canonical_leaf_tree,
 
 NORM_DRIFT_TOL = 1e-10
 
+MODES = ("qft-ttn", "qft-gates")
+
 STRUCTURE_POLICIES = ("fixed", "auto-optimize", "exhaustive-optimal",
                       "fixed-worst")
 
@@ -88,8 +90,14 @@ def fidelity(u, v) -> float:
 # -- pipeline orchestration --------------------------------------------------
 
 
-def _coefficient_network(cov, grid, topo, chi_prime, sweeps, seed):
-    ev = FourierEvaluator(grid, cov)
+def interpolate(ev: FourierEvaluator, topo: TreeTopology, chi_prime: int,
+                sweeps: int, seed: int):
+    """Cross-interpolate the evaluator's coefficient tensor on topo.
+
+    Returns the network and its TCI record. Each call gets a fresh black
+    box, so the evaluation count, the peak magnitude behind the relative
+    residual and the pivots belong to this build alone.
+    """
     box = BlackBoxTensor.from_fourier(ev)
     net, info = tci_build(box, topo, chi=chi_prime, sweeps=sweeps, seed=seed)
     residual = info["residuals"][-1] / max(box.max_abs, 1e-300)
@@ -123,14 +131,12 @@ def _emit(coeff_net, grid, chi, mode):
         net = compose_and_compress(coeff_net, qft, chi)
         circ, cost = synthesize(net)
         return net, circ, cost
-    if mode == "qft-gates":
-        net = qubitize(coeff_net)
-        net.canonicalize(min(net.tensors))
-        net.truncate(chi=chi, tol=1e-12)
-        circ, _ = synthesize(net)
-        circ = with_inverse_dft(circ, grid.n)
-        return net, circ, circ.cost
-    raise ParameterError(f"unknown mode {mode!r}")
+    net = qubitize(coeff_net)
+    net.canonicalize(min(net.tensors))
+    net.truncate(chi=chi, tol=1e-12)
+    circ, _ = synthesize(net)
+    circ = with_inverse_dft(circ, grid.n)
+    return net, circ, circ.cost
 
 
 def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
@@ -148,28 +154,34 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     if grid.dim != cov.dim:
         raise ParameterError(
             f"grid dimension {grid.dim} != covariance dimension {cov.dim}")
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
     if structure not in STRUCTURE_POLICIES:
         raise ParameterError(f"unknown structure policy {structure!r}")
     D, M = grid.dim, grid.M
+    scan = structure in ("exhaustive-optimal", "fixed-worst")
+    if topology is not None and scan:
+        raise ParameterError(
+            f"an explicit topology cannot combine with {structure!r}")
+    if scan and D > 6:
+        raise CapacityError(
+            f"structure sweep over all trees needs D <= 6, got {D}")
     if chi_prime is None:
         chi_prime = max(2 * chi, 16)
 
     record: dict = {"dim": D, "n": grid.n, "m": grid.m, "chi": chi,
                     "chi_prime": chi_prime, "mode": mode,
                     "structure": structure, "seed": seed}
+    # one evaluator, so one exact norm, shared by every build
+    ev = FourierEvaluator(grid, cov)
 
     def build(edges):
         # edges None stands for the explicit topology
         topo = topology if edges is None else \
             TreeTopology.from_leaf_tree(edges, D, M)
-        coeff, tci_rec = _coefficient_network(cov, grid, topo, chi_prime,
-                                              sweeps, seed)
+        coeff, tci_rec = interpolate(ev, topo, chi_prime, sweeps, seed)
         return _emit(coeff, grid, chi, mode) + (tci_rec,)
 
-    if topology is not None and structure in ("exhaustive-optimal",
-                                              "fixed-worst"):
-        raise ParameterError(
-            f"an explicit topology cannot combine with {structure!r}")
     base_edges = _match_enumeration(D, caterpillar_leaf_tree(D),
                                     {i: i for i in range(D)})
 
@@ -180,9 +192,7 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     elif structure == "auto-optimize":
         start = topology if topology is not None else \
             TreeTopology.from_leaf_tree(base_edges, D, M)
-        coeff, _ = _coefficient_network(cov, grid, start, chi_prime,
-                                        sweeps, seed)
-        coeff.canonicalize(min(coeff.tensors))
+        coeff, _ = interpolate(ev, start, chi_prime, sweeps, seed)
         # search on the interpolation-rank network: re-splits stay near
         # exact there, so pairing entropies reflect the state rather
         # than earlier truncations
@@ -192,9 +202,6 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
         trees = [_match_enumeration(D, *coeff.leaf_tree())]
         extra["reconnections"] = opt["accepted_total"]
     else:
-        if D > 6:
-            raise CapacityError(
-                f"structure sweep over all trees needs D <= 6, got {D}")
         trees = enumerate_leaf_trees(D)
         extra["trees_scanned"] = len(trees)
     builds = [build(edges) for edges in trees]

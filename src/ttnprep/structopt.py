@@ -142,7 +142,7 @@ def optimize_structure(net: TreeTensorNetwork, chi: int,
     if max_sweeps < 1:
         raise ParameterError("max_sweeps must be >= 1")
     if net.center is None:
-        net.canonicalize(next(iter(net.tensors)))
+        net.canonicalize(min(net.tensors))
     bond_ids = sorted(e for e, ed in net.edges.items() if not ed.is_phys)
     sweeps = []
     choices: list[ReconnectionChoice] = []

@@ -61,6 +61,8 @@ class BlackBoxTensor:
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
+        if not self.dims:
+            raise ParameterError("a black box needs at least one axis")
         if any(d < 1 for d in self.dims):
             raise ParameterError("axis dimensions must be >= 1")
 
@@ -438,6 +440,4 @@ def _assemble(f: BlackBoxTensor, state: _PivotState) -> TreeTensorNetwork:
                 "singular pivot block in assembly") from exc
         tensors[w] = np.moveaxis(tm.reshape(shape), -1, axis)
 
-    axis_desc = {u: [(k, tuple(v) if k == "bond" else v) for k, v in ao]
-                 for u, ao in axis_order.items()}
-    return TreeTensorNetwork.from_topology(topo, tensors, axis_desc)
+    return TreeTensorNetwork.from_topology(topo, tensors, axis_order)

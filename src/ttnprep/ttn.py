@@ -295,27 +295,7 @@ class TreeTensorNetwork:
     def norm(self) -> float:
         if self.center is not None:
             return float(np.linalg.norm(self.tensors[self.center]))
-        return math.sqrt(max(0.0, self._norm2()))
-
-    def _norm2(self) -> float:
-        # children first; a node's message, keyed by its parent bond (None
-        # at the root), is consumed by the parent in the parent's axes order
-        msgs: dict = {}
-        for u, _, pe in reversed(walk(next(iter(self.tensors)),
-                                      self.neighbors)):
-            t = self.tensors[u]
-            legs = list(self.axes[u])
-            for e in self.axes[u]:
-                if e in msgs:
-                    t = np.tensordot(t, msgs.pop(e), axes=(legs.index(e), 0))
-                    legs = [x for x in legs if x != e] + [e]
-            # pair every leg with the conjugate tensor except the parent bond
-            tc = np.conj(self.tensors[u])
-            mine = [legs.index(x) for x in self.axes[u] if x != pe]
-            theirs = [i for i, x in enumerate(self.axes[u]) if x != pe]
-            # (d_pe, d_pe), or a scalar at the root
-            msgs[pe] = np.tensordot(t, tc, axes=(mine, theirs))
-        return float(np.real(msgs[None]))
+        return self.copy().canonicalize(min(self.tensors)).norm()
 
     def normalize(self) -> "TreeTensorNetwork":
         nrm = self.norm()

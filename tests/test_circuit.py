@@ -1,5 +1,7 @@
 """Inverse-DFT network, composition, synthesis, and the cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def test_qft_copy_bond_and_chain_shapes():
     assert chain[0].shape[0] == 32
     assert max(t.shape[0] for t in chain) == 32
     assert chain[-1].ndim == 2
+
+
+def test_qft_chain_holds_no_phase_tables():
+    # a table of every residue would hold 2**22 complex entries (64 MB)
+    tracemalloc.start()
+    try:
+        build_qft_ttn(20, 3).chain_tensors()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_qft_labels_msb_first():

@@ -153,6 +153,14 @@ def test_verify_rejects_oversized_grid(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_tree_scan_past_six_leaves_is_a_config_error(tmp_path):
+    for structure in ("exhaustive-optimal", "fixed-worst"):
+        rc = _run("compile", "--kind", "uniform", "--param", "rho=0.1",
+                  "--dim", "7", "-n", "3", "-m", "2",
+                  "--structure", structure, "--outdir", str(tmp_path))
+        assert rc == EXIT_CONFIG
+
+
 def test_verify_exit_code_on_ledger_gap(tmp_path, monkeypatch):
     import ttnprep.cli as climod
 

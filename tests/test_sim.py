@@ -7,7 +7,7 @@ from ttnprep import (CapacityError, CircuitValidityError, CovarianceMatrix,
                      ParameterError, Placement, QuantumCircuit, ShapeError,
                      baseline_comparison, compile_circuit, fidelity,
                      make_covariance, simulate, synthesize, verify_pipeline)
-from ttnprep.fourier import GridSpec, exact_target
+from ttnprep.fourier import FourierEvaluator, GridSpec, exact_target
 from ttnprep.sim import STRUCTURE_POLICIES, StateVector
 from ttnprep.topology import TreeTopology, caterpillar_leaf_tree
 from ttnprep.ttn import random_mps
@@ -170,6 +170,23 @@ def test_compile_policies_report_search_metadata():
     assert exh["ledger_fidelity"] >= fixed["ledger_fidelity"] - 1e-12
     _, worst = compile_circuit(cov, grid, 3, structure="fixed-worst")
     assert worst["ledger_fidelity"] <= exh["ledger_fidelity"] + 1e-12
+
+
+@pytest.mark.parametrize("structure", STRUCTURE_POLICIES)
+def test_compile_builds_one_evaluator(structure, monkeypatch):
+    import ttnprep.sim as simmod
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return FourierEvaluator(*args)
+
+    monkeypatch.setattr(simmod, "FourierEvaluator", counted)
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
+    compile_circuit(cov, GridSpec(4, 4, 16.0, 2), 2, "qft-gates",
+                    chi_prime=4, structure=structure, sweeps=1)
+    assert len(built) == 1
 
 
 def test_structure_policy_names_stable():

@@ -121,6 +121,23 @@ def test_optimize_preserves_state_when_chi_ample():
     assert net2.ledger.product >= 1 - 1e-12
 
 
+def test_optimize_canonicalizes_uncentered_net_at_smallest_node():
+    rng = np.random.default_rng(4)
+    t = rng.normal(size=(2,) * 5) + 1j * rng.normal(size=(2,) * 5)
+    topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(5), 5, 2)
+    net = from_dense(t / np.linalg.norm(t), topo)
+    net.center = None
+    # the dict order must not pick the node the sweep starts from
+    net.tensors = dict(reversed(net.tensors.items()))
+    assert next(iter(net.tensors)) != min(net.tensors)
+    ref = net.copy().canonicalize(min(net.tensors))
+    got, _ = optimize_structure(net, chi=3)
+    want, _ = optimize_structure(ref, chi=3)
+    assert got.tensors.keys() == want.tensors.keys()
+    for u in want.tensors:
+        np.testing.assert_array_equal(got.tensors[u], want.tensors[u])
+
+
 def test_optimize_report_shape():
     net = _chain_coeff_net(PAIRED_02_13)
     _, report = optimize_structure(net, chi=6, max_sweeps=3)

@@ -87,6 +87,8 @@ def test_black_box_validates_indices():
         f(np.array([[0, -1]]))
     with pytest.raises(ParameterError):
         f(np.array([[0, 1, 2]]))
+    with pytest.raises(ParameterError):
+        BlackBoxTensor((), lambda idx: np.ones(len(idx)))
 
 
 def test_black_box_tracks_max_abs():
