@@ -24,7 +24,8 @@ from typing import Hashable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import (CircuitValidityError, ParameterError, ShapeError)
+from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
+                     ParameterError, ShapeError)
 from .fourier import inverse_dft_embedding_matrix
 from .topology import walk
 from .ttn import Edge, TreeTensorNetwork, label_from_json, label_to_json
@@ -66,6 +67,12 @@ class QftTtn:
         2**(n-t-1), so bond dimensions shrink from 2**m toward 1.
         """
         M = 1 << self.m
+        # the first tensor is the largest: (M, 2, min(M, 2**(n-1))), dense
+        first = M * 2 * min(M, 1 << (self.n - 1))
+        if first > 1 << MAX_DENSE_QUBITS:
+            raise CapacityError(
+                f"QFT chain tensor of {first} entries (n={self.n}, "
+                f"m={self.m}) exceeds the dense cap 2**{MAX_DENSE_QUBITS}")
         ks = np.arange(M)
         ks = np.where(ks < M // 2, ks, ks - M) % (1 << self.n)
         vals = ks

@@ -150,7 +150,7 @@ def _dense_quadratic(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     quad = np.zeros((len(v),) * D)
     for i in range(D):
         for j in range(D):
-            quad = quad + mat[i, j] * axes[i] * axes[j]
+            quad += mat[i, j] * axes[i] * axes[j]
     return quad
 
 

@@ -125,7 +125,7 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
     rng = np.random.default_rng(seed)
 
     if kind == "uniform":
-        rho = float(params.pop("rho"))
+        rho = float(_required(params, kind, "rho"))
         _no_extra(params)
         if not -1.0 < rho < 1.0:
             raise ParameterError("uniform rho must lie in (-1, 1)")
@@ -134,7 +134,7 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         return CovarianceMatrix(m)
 
     if kind == "chain":
-        rho = float(params.pop("rho"))
+        rho = float(_required(params, kind, "rho"))
         _no_extra(params)
         if not -1.0 < rho < 1.0:
             raise ParameterError("chain rho must lie in (-1, 1)")
@@ -142,8 +142,8 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         return CovarianceMatrix(rho ** np.abs(idx[:, None] - idx[None, :]))
 
     if kind == "tree":
-        edges = params.pop("edges")
-        sigma = float(params.pop("sigma"))
+        edges = _required(params, kind, "edges")
+        sigma = float(_required(params, kind, "sigma"))
         _no_extra(params)
         if sigma <= 0:
             raise ParameterError("tree sigma must be positive")
@@ -153,7 +153,7 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         return CovarianceMatrix(np.exp(-dist[:dim, :dim] / sigma))
 
     if kind == "exp-decay-chain":
-        sigma_max = float(params.pop("sigma_max"))
+        sigma_max = float(_required(params, kind, "sigma_max"))
         _no_extra(params)
         if not 0 < sigma_max < 1.0:
             raise ParameterError("exp-decay-chain sigma_max must lie in (0, 1)")
@@ -169,8 +169,8 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         raise GenerationError("exp-decay-chain: no PD sample within budget")
 
     if kind == "stacked-chain":
-        rank = int(params.pop("rank"))
-        sigma_max = float(params.pop("sigma_max"))
+        rank = int(_required(params, kind, "rank"))
+        sigma_max = float(_required(params, kind, "sigma_max"))
         _no_extra(params)
         if rank < 1 or rank > dim:
             raise ParameterError("stacked-chain rank must lie in [1, dim]")
@@ -185,7 +185,7 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         return CovarianceMatrix(m)
 
     if kind == "random":
-        sigma_max = float(params.pop("sigma_max"))
+        sigma_max = float(_required(params, kind, "sigma_max"))
         _no_extra(params)
         if not 0 < sigma_max < 1.0:
             raise ParameterError("random sigma_max must lie in (0, 1)")
@@ -200,6 +200,12 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         raise GenerationError("random: no PD sample within budget")
 
     raise ParameterError(f"unknown covariance kind {kind!r}")
+
+
+def _required(params: dict, kind: str, name: str):
+    if name not in params:
+        raise ParameterError(f"{kind} covariance needs the parameter {name!r}")
+    return params.pop(name)
 
 
 def _no_extra(params: dict) -> None:

@@ -52,29 +52,53 @@ def simulate(circ: QuantumCircuit) -> StateVector:
     which must hold the entire support of the state on those wires, and
     rewrites all its targets.  Fresh target wires have to be cleared;
     leaked amplitude shows up as norm loss and is rejected.
+
+    The amplitudes live in a block over the written wires only, one axis
+    per wire in the order of `wires`; every other wire holds |0>, so the
+    block has the state's norm. A placement pads each input wire nothing
+    has written yet with a zero half, reads a written wire it treats as
+    fresh at 0, moves its input axes to the front and applies one matrix
+    product, whose axes are then its targets followed by the untouched
+    wires. The block is written into the full register once, at the end.
     """
     Q = circ.qubits
     if Q > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"{Q} qubits exceeds the dense cap {MAX_DENSE_QUBITS}")
     circ.validate()
-    psi = np.zeros((2,) * Q if Q else (1,), dtype=complex)
-    psi.flat[0] = 1.0
+    psi = np.ones((), dtype=complex)
+    wires: list = []
     for plc in circ.placements:
-        q, p = plc.out_qubits, plc.in_qubits
-        t = np.moveaxis(psi, list(plc.targets), range(q))
-        rest = t.shape[q:]
-        t = t.reshape(1 << q, -1)
-        sub = t[::1 << (q - p)]
-        out = plc.matrix @ sub
-        psi = np.moveaxis(out.reshape((2,) * q + rest), range(q),
-                          list(plc.targets))
+        p = plc.in_qubits
+        ins = plc.targets[:p]
+        for w in plc.targets[p:]:
+            if w in wires:
+                # read at |0>: whatever it held elsewhere is lost norm
+                psi = psi[(slice(None),) * wires.index(w) + (0,)]
+                wires.remove(w)
+        new = [w for w in ins if w not in wires]
+        if new:
+            padded = np.zeros((2,) * len(new) + psi.shape, dtype=complex)
+            padded[(0,) * len(new)] = psi
+            psi, wires = padded, new + wires
+        rest = [w for w in wires if w not in ins]
+        t = np.moveaxis(psi, [wires.index(w) for w in ins], range(p))
+        shape = t.shape[p:]
+        t = t.reshape(1 << p, -1)
+        # keep at most two blocks alive: the moved copy and the product
+        del psi
+        psi = (plc.matrix @ t).reshape((2,) * len(plc.targets) + shape)
+        del t
+        wires = list(plc.targets) + rest
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > NORM_DRIFT_TOL:
             raise CircuitValidityError(
                 f"norm drifted by {drift:.3e} after a placement on "
                 f"{plc.targets}; a fresh target wire was not cleared")
-    return StateVector(Q, psi.ravel())
+    full = np.zeros((2,) * Q, dtype=complex)
+    full[tuple(slice(None) if w in wires else 0 for w in range(Q))] = \
+        psi.transpose(np.argsort(wires))
+    return StateVector(Q, full.ravel())
 
 
 def fidelity(u, v) -> float:

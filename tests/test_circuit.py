@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttnprep import (CircuitValidityError, CostReport, Placement,
-                     QuantumCircuit, ShapeError, TreeTopology, build_qft_ttn,
-                     compose_and_compress, fsl_baseline_cost, make_covariance,
-                     qubitize, synthesize, tci_build, with_inverse_dft)
+from ttnprep import (CapacityError, CircuitValidityError, CostReport,
+                     Placement, QuantumCircuit, ShapeError, TreeTopology,
+                     build_qft_ttn, compose_and_compress, fsl_baseline_cost,
+                     make_covariance, qubitize, synthesize, tci_build,
+                     with_inverse_dft)
 from ttnprep.fourier import (FourierEvaluator, GridSpec, dense_coeff_tensor,
                              exact_target, inverse_dft_embedding_matrix)
 from ttnprep.ttn import from_dense, random_mps
@@ -57,6 +58,19 @@ def test_qft_chain_holds_no_phase_tables():
     tracemalloc.start()
     try:
         build_qft_ttn(20, 3).chain_tensors()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_qft_chain_past_the_dense_cap_is_refused():
+    # the first chain tensor at m = n = 14 is (2**14, 2, 2**13) complex,
+    # 4 GB; it is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build_qft_ttn(14, 14).chain_tensors()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -153,6 +153,12 @@ def test_verify_rejects_oversized_grid(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_build_tree_without_edges_is_a_config_error(tmp_path):
+    rc = _run("build", "--kind", "tree", "--param", "sigma=3.0",
+              "--dim", "6", "--outdir", str(tmp_path))
+    assert rc == EXIT_CONFIG
+
+
 def test_tree_scan_past_six_leaves_is_a_config_error(tmp_path):
     for structure in ("exhaustive-optimal", "fixed-worst"):
         rc = _run("compile", "--kind", "uniform", "--param", "rho=0.1",

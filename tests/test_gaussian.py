@@ -103,6 +103,13 @@ def test_make_covariance_rejects_bad_parameters():
         make_covariance("random", 3, sigma_max=1.5)
 
 
+def test_make_covariance_missing_parameter_names_it():
+    with pytest.raises(ParameterError, match="chain.*'rho'"):
+        make_covariance("chain", 4)
+    with pytest.raises(ParameterError, match="tree.*'edges'"):
+        make_covariance("tree", 3, sigma=3.0)
+
+
 def test_covariance_matrix_validation():
     with pytest.raises(ParameterError):
         CovarianceMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric

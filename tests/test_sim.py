@@ -1,5 +1,7 @@
 """Statevector execution and end-to-end pipeline verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,124 @@ def test_simulate_rejects_dirty_fresh_wire():
         (0, 1), CostReport(6, 6, 0, []))
     with pytest.raises(CircuitValidityError):
         simulate(circ)
+
+
+def _reference_simulate(circ):
+    # from the definition: each placement is a dense operator on its
+    # targets that reads the input wires and projects the fresh ones on
+    # |0>, applied to the full (2,)*Q state
+    Q = circ.qubits
+    psi = np.zeros((2,) * Q, dtype=complex)
+    psi[(0,) * Q] = 1.0
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    for plc in circ.placements:
+        q, p = plc.out_qubits, plc.in_qubits
+        op = np.zeros((1 << q, 1 << q), dtype=complex)
+        op[:, ::1 << (q - p)] = plc.matrix
+        state = letters[:Q]
+        outs = letters[Q:Q + q]
+        ins = "".join(state[w] for w in plc.targets)
+        result = list(state)
+        for w, o in zip(plc.targets, outs):
+            result[w] = o
+        psi = np.einsum(f"{outs}{ins},{state}->{''.join(result)}",
+                        op.reshape((2,) * 2 * q), psi)
+    return psi.ravel()
+
+
+def _isometry(rng, q, p):
+    shape = (1 << q, 1 << p)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return np.linalg.qr(z)[0]
+
+
+def _circuit(qubits, layout, rng):
+    from ttnprep.circuit import CostReport
+    pls = [Placement(tuple(t), p, _isometry(rng, len(t), p), "isometry")
+           for t, p in layout]
+    return QuantumCircuit(qubits, pls, tuple(range(qubits)),
+                          CostReport(0, 0, 0, []))
+
+
+# (targets, in_qubits); inputs first, then fresh wires
+WIRE_LAYOUTS = {
+    # descending targets, then a read of wires written two steps back
+    # from behind the newer ones; wire 0 is never touched
+    "descending": (6, [((5, 4, 3), 0), ((3, 2), 1), ((2, 1), 1),
+                       ((5, 4), 2)]),
+    # mixed order, and inputs that sit behind other written wires
+    "mixed": (7, [((2, 6, 0), 0), ((0, 4), 1), ((6, 2, 5), 2),
+                  ((4, 5, 0, 1), 3), ((6,), 1)]),
+    # input wires nothing has written: 3 at the start, 1 and 7 later;
+    # wires 0 and 5 are never touched
+    "unwritten-inputs": (8, [((3, 2), 1), ((2, 1, 6), 2), ((7, 4), 1),
+                             ((6, 7, 3), 3)]),
+    # one wire, and every wire at once
+    "single": (1, [((0,), 0), ((0,), 1)]),
+    "all": (4, [((3, 1, 0, 2), 0), ((2, 0, 3, 1), 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_LAYOUTS))
+def test_simulate_matches_dense_reference(name):
+    qubits, layout = WIRE_LAYOUTS[name]
+    for seed in range(3):
+        circ = _circuit(qubits, layout, np.random.default_rng(seed))
+        np.testing.assert_allclose(simulate(circ).amplitudes,
+                                   _reference_simulate(circ), rtol=0,
+                                   atol=1e-12)
+
+
+def test_simulate_matches_dense_reference_on_random_layouts():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        qubits = int(rng.integers(2, 9))
+        used = rng.permutation(qubits)[:int(rng.integers(1, qubits + 1))]
+        written, layout = set(), []
+        for _ in range(int(rng.integers(1, 7))):
+            p = int(rng.integers(0, min(3, len(used)) + 1))
+            ins = [int(w) for w in rng.permutation(used)[:p]]
+            clean = [int(w) for w in rng.permutation(used)
+                     if w not in written and w not in ins]
+            fresh = clean[:int(rng.integers(0, min(2, len(clean)) + 1))]
+            if not ins + fresh:
+                continue
+            layout.append((ins + fresh, p))
+            written.update(ins + fresh)
+        circ = _circuit(qubits, layout, rng)
+        np.testing.assert_allclose(simulate(circ).amplitudes,
+                                   _reference_simulate(circ), rtol=0,
+                                   atol=1e-12)
+
+
+def test_simulate_reads_a_clean_written_wire_as_fresh():
+    # the first placement writes wire 1 but leaves it at |0>; the second
+    # treats it as fresh, which loses no norm
+    rng = np.random.default_rng(3)
+    from ttnprep.circuit import CostReport
+    keep0 = np.kron(_isometry(rng, 1, 1), np.array([[1.0], [0.0]]))
+    circ = QuantumCircuit(3, [Placement((0,), 0, _isometry(rng, 1, 0)),
+                              Placement((0, 1), 1, keep0),
+                              Placement((2, 0, 1), 2, _isometry(rng, 3, 2))],
+                          (0, 1, 2), CostReport(0, 0, 0, []))
+    np.testing.assert_allclose(simulate(circ).amplitudes,
+                               _reference_simulate(circ), rtol=0, atol=1e-12)
+
+
+def test_simulate_peak_memory_two_state_sizes():
+    # a 20-qubit chain: each placement reads one wire and writes one more
+    rng = np.random.default_rng(0)
+    layout = [((0,), 0)] + [((k, k + 1), 1) for k in range(19)]
+    circ = _circuit(20, layout, rng)
+    state = 16 << 20
+    tracemalloc.start()
+    try:
+        psi = simulate(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.amplitudes.nbytes == state
+    assert peak <= 2 * state + (1 << 20)
 
 
 def test_fidelity_basics():
@@ -187,6 +307,28 @@ def test_compile_builds_one_evaluator(structure, monkeypatch):
     compile_circuit(cov, GridSpec(4, 4, 16.0, 2), 2, "qft-gates",
                     chi_prime=4, structure=structure, sweeps=1)
     assert len(built) == 1
+
+
+def test_verify_calls_each_stage_through_the_module(monkeypatch):
+    # the benchmark reads the circuit and the target through these names
+    import ttnprep.sim as simmod
+
+    calls = []
+
+    def counting(name):
+        inner = getattr(simmod, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in ("compile_circuit", "exact_target", "simulate"):
+        monkeypatch.setattr(simmod, name, counting(name))
+    cov = make_covariance("chain", 2, rho=0.5)
+    verify_pipeline(cov, GridSpec(2, 3, 16.0, 2), chi=2, chi_prime=4,
+                    sweeps=1)
+    assert sorted(calls) == ["compile_circuit", "exact_target", "simulate"]
 
 
 def test_structure_policy_names_stable():
