@@ -21,13 +21,15 @@ from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
                      ParameterError, ShapeError)
 from .fourier import FourierEvaluator, GridSpec, exact_target, fsl_state
 from .gaussian import CovarianceMatrix
-from .structopt import optimize_structure
+# not called here: bench/spans.py traces ttnprep.sim.optimize_structure
+from .structopt import covariance_tree, optimize_structure  # noqa: F401
 from .tci import BlackBoxTensor, tci_build
 from .topology import (TreeTopology, canonical_leaf_tree,
                        caterpillar_leaf_tree, enumerate_leaf_trees,
                        normalize_leaf_tree)
 
 NORM_DRIFT_TOL = 1e-10
+OVERLAP_BLOCK = 1 << 12
 
 MODES = ("qft-ttn", "qft-gates")
 
@@ -102,13 +104,29 @@ def simulate(circ: QuantumCircuit) -> StateVector:
 
 
 def fidelity(u, v) -> float:
-    """|<u|v>|^2 for unit vectors, statevectors, or flattened tensors."""
+    """|<u|v>|^2 for unit vectors, statevectors, or flattened tensors.
+
+    When one side is real, the complex side is read as (re, im) pairs
+    and the real side meets both in one pass: np.vdot would first cast
+    the real side to a complex copy, 256 MB at 2^24 amplitudes. The pass
+    runs in blocks of OVERLAP_BLOCK whose partial sums are added last,
+    which keeps the rounding error below that of one long dot product.
+    """
     ua = u.amplitudes if isinstance(u, StateVector) else np.asarray(u)
     va = v.amplitudes if isinstance(v, StateVector) else np.asarray(v)
     ua, va = ua.ravel(), va.ravel()
     if ua.shape != va.shape:
         raise ShapeError(f"dimension mismatch {ua.shape} vs {va.shape}")
-    return float(abs(np.vdot(ua, va)) ** 2)
+    if np.iscomplexobj(ua) == np.iscomplexobj(va):
+        return float(abs(np.vdot(ua, va)) ** 2)
+    z, x = (ua, va) if np.iscomplexobj(ua) else (va, ua)
+    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    x = np.asarray(x, dtype=float)
+    cut = x.size - x.size % OVERLAP_BLOCK
+    parts = np.matmul(x[:cut].reshape(-1, 1, OVERLAP_BLOCK),
+                      pairs[:cut].reshape(-1, OVERLAP_BLOCK, 2))
+    re, im = parts.sum(axis=(0, 1)) + x[cut:] @ pairs[cut:]
+    return float(re * re + im * im)
 
 
 # -- pipeline orchestration --------------------------------------------------
@@ -169,8 +187,19 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
                     topology: TreeTopology | None = None,
                     sweeps: int = 6, seed: int = 0,
                     ) -> tuple[QuantumCircuit, dict]:
-    """Full compile: cross interpolation at chi_prime on the selected
-    tree, structural reshaping per policy, compression to chi, synthesis.
+    """Full compile: tree selection per policy, cross interpolation at
+    chi_prime on each candidate tree, compression to chi, synthesis.
+
+    Policies: "fixed" builds the explicit topology or the caterpillar.
+    "auto-optimize" picks the leaf tree from the covariance alone
+    (structopt.covariance_tree): each cut's canonical correlations give
+    its exact Schmidt spectrum, so the mass every bond keeps at chi is
+    known before any tensor exists. A greedy bottom-up merge and NNI
+    moves maximize the product of kept masses; an explicit topology is
+    built instead only when it keeps strictly more. One interpolation
+    follows, and the record adds "reconnections" (NNI moves taken) and
+    "predicted_fidelity". "exhaustive-optimal" and "fixed-worst" build
+    every tree (D <= 6) and keep the best or the worst ledger.
 
     Returns the circuit and a build record; no simulation happens here,
     so the instance can be far beyond the dense cap.
@@ -206,25 +235,19 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
         coeff, tci_rec = interpolate(ev, topo, chi_prime, sweeps, seed)
         return _emit(coeff, grid, chi, mode) + (tci_rec,)
 
-    base_edges = _match_enumeration(D, caterpillar_leaf_tree(D),
-                                    {i: i for i in range(D)})
+    ident = {i: i for i in range(D)}
 
     # candidate trees per policy, then one build each and one pick
     extra = {}
     if structure == "fixed" or D == 1:
-        trees = [None if topology is not None else base_edges]
+        trees = [None if topology is not None else
+                 _match_enumeration(D, caterpillar_leaf_tree(D), ident)]
     elif structure == "auto-optimize":
-        start = topology if topology is not None else \
-            TreeTopology.from_leaf_tree(base_edges, D, M)
-        coeff, _ = interpolate(ev, start, chi_prime, sweeps, seed)
-        # search on the interpolation-rank network: re-splits stay near
-        # exact there, so pairing entropies reflect the state rather
-        # than earlier truncations
-        coeff, opt = optimize_structure(coeff, chi=chi_prime)
-        # rebuild from scratch on the found shape so the result is the
-        # same artifact the exhaustive scan produces for that tree
-        trees = [_match_enumeration(D, *coeff.leaf_tree())]
-        extra["reconnections"] = opt["accepted_total"]
+        # the tree comes from the covariance's cut spectra at chi, where
+        # the circuit pays the truncation, so only that tree interpolates
+        edges, extra = covariance_tree(cov, chi, start=topology)
+        trees = [None if edges is None else
+                 _match_enumeration(D, edges, ident)]
     else:
         trees = enumerate_leaf_trees(D)
         extra["trees_scanned"] = len(trees)

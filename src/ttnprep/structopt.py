@@ -8,10 +8,15 @@ rank and renormalizing). Ties go to the incumbent pairing. Sweeping
 reconnections over all bonds performs nearest-neighbor-interchange moves
 on the underlying leaf-labeled tree, so repeated sweeps can reach any
 tree topology on the same leaves.
+
+covariance_tree picks a leaf tree before any tensor exists: the
+canonical correlations across a cut give its exact Schmidt spectrum, so
+the mass each candidate bond keeps at chi is known from the covariance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,11 +24,15 @@ import numpy as np
 from scipy.linalg import svd
 
 from .errors import ParameterError
+from .gaussian import (Bipartition, CovarianceMatrix, canonical_correlations,
+                       cut_spectrum)
+from .topology import TreeTopology, caterpillar_leaf_tree, walk
 from .ttn import Edge, TreeTensorNetwork
 
 PAIRING_NAMES = ("ab|cd", "ac|bd", "ad|bc")
 _PERMS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 TIE_TOL = 1e-10
+GAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,3 +176,94 @@ def optimize_structure(net: TreeTensorNetwork, chi: int,
     report = {"sweeps": sweeps, "accepted_total":
               sum(s["accepted"] for s in sweeps), "choices": choices}
     return net, report
+
+
+def covariance_tree(cov: CovarianceMatrix, chi: int,
+                    start: TreeTopology | None = None,
+                    ) -> tuple[list[tuple[int, int]] | None, dict]:
+    """The leaf tree whose bonds keep the most Schmidt mass at chi.
+
+    A cut scores the top-chi mass of its spectrum, and the product of
+    the scores over a tree's bonds is its predict_ttn_fidelity. The tree
+    grows bottom-up from singleton clusters: the two clusters whose union
+    keeps the most mass merge (ties to the lowest cluster ids) until
+    three remain, which join at one node. Nearest-neighbor-interchange
+    moves then polish it. A move changes only its middle cut, so it is
+    taken when one of the two other pairings keeps more mass than the
+    current one by a relative GAIN_TOL. D <= 3 has one tree and no search.
+
+    The edges run over leaves 0..D-1 and internal vertices D..2D-3. An
+    explicit start topology wins, and the edges come back as None, only
+    when it keeps strictly more mass. The report holds the accepted
+    moves and the predicted fidelity of the winner.
+    """
+    D = cov.dim
+    every = frozenset(range(D))
+    memo: dict[frozenset, float] = {}
+
+    def kept(side: frozenset) -> float:
+        if side not in memo:
+            corrs = canonical_correlations(cov, Bipartition(side, every - side))
+            memo[side] = memo[every - side] = min(
+                1.0, cut_spectrum(corrs, chi).kept_mass(chi))
+        return memo[side]
+
+    def score(topo: TreeTopology) -> float:
+        # sorted, so one multiset of cuts gives one product
+        return math.prod(sorted(kept(l) for _, l, _ in topo.bipartitions()))
+
+    if D <= 3:
+        edges, moves = caterpillar_leaf_tree(D), 0
+    else:
+        edges, moves = _nni_polish(_agglomerate(D, kept), D, kept)
+    best = score(TreeTopology.from_leaf_tree(edges, D, 1))
+    if start is not None and score(start) > best:
+        edges, best = None, score(start)
+    return edges, {"reconnections": moves, "predicted_fidelity": best}
+
+
+def _agglomerate(D: int, kept) -> list[tuple[int, int]]:
+    # cluster id = its vertex id, so merges take ids D, D+1, ... in order
+    clusters = {i: frozenset([i]) for i in range(D)}
+    edges = []
+    for w in itertools.count(D):
+        if len(clusters) == 3:
+            return edges + [(c, w) for c in sorted(clusters)]
+        a, b = max(itertools.combinations(sorted(clusters), 2),
+                   key=lambda p: kept(clusters[p[0]] | clusters[p[1]]))
+        edges += [(a, w), (b, w)]
+        clusters[w] = clusters.pop(a) | clusters.pop(b)
+
+
+def _nni_polish(edges, D: int, kept) -> tuple[list[tuple[int, int]], int]:
+    """Sweep NNI moves over the internal edges until none gains."""
+    adj: dict[int, set] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    def leaves(x, away):
+        return frozenset(w for w, _, _ in walk(
+            x, lambda y: [(z, None) for z in adj[y] if z != away]) if w < D)
+
+    moves, improved = 0, True
+    while improved:
+        improved = False
+        for u in range(D, 2 * D - 2):
+            for v in sorted(adj[u]):
+                if v <= u or v not in adj[u]:
+                    continue
+                a, b = sorted(adj[u] - {v})
+                c, d = sorted(adj[v] - {u})
+                A, B = leaves(a, u), leaves(b, u)
+                # ab|cd now; ac|bd swaps b with c, ad|bc swaps b with d
+                gain, s = max((kept(A | leaves(c, v)), c),
+                              (kept(A | leaves(d, v)), d), key=lambda t: t[0])
+                if gain > kept(A | B) * (1.0 + GAIN_TOL):
+                    adj[u] ^= {b, s}
+                    adj[v] ^= {b, s}
+                    adj[b] ^= {u, v}
+                    adj[s] ^= {u, v}
+                    moves += 1
+                    improved = True
+    return sorted((u, v) for u in adj for v in adj[u] if u < v), moves

@@ -8,8 +8,10 @@ import pytest
 from ttnprep import (CapacityError, CircuitValidityError, CovarianceMatrix,
                      ParameterError, Placement, QuantumCircuit, ShapeError,
                      baseline_comparison, compile_circuit, fidelity,
-                     make_covariance, simulate, synthesize, verify_pipeline)
+                     make_covariance, predict_ttn_fidelity, simulate,
+                     synthesize, verify_pipeline)
 from ttnprep.fourier import FourierEvaluator, GridSpec, exact_target
+from ttnprep.scaling import _shuffled_caterpillar
 from ttnprep.sim import STRUCTURE_POLICIES, StateVector
 from ttnprep.topology import TreeTopology, caterpillar_leaf_tree
 from ttnprep.ttn import random_mps
@@ -201,6 +203,36 @@ def test_fidelity_basics():
     assert fidelity(sv, e0) == 1.0
 
 
+def test_fidelity_of_complex_and_real_makes_no_copy():
+    rng = np.random.default_rng(0)
+    N = 1 << 20
+    z = rng.normal(size=N) + 1j * rng.normal(size=N)
+    z /= np.linalg.norm(z)
+    x = z.real + 0.5 * rng.normal(size=N) / np.sqrt(N)
+    x /= np.linalg.norm(x)
+    want = abs(np.einsum("i,i->", z.conj(), x)) ** 2
+    tracemalloc.start()
+    try:
+        got = (fidelity(z, x), fidelity(x, StateVector(20, z)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == pytest.approx(want, rel=1e-12)
+    assert got[1] == pytest.approx(want, rel=1e-12)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4097, 3 * 4096 + 5])
+def test_fidelity_of_complex_and_real_any_length(n):
+    # lengths around the block size, so the remainder path runs
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = z.real + rng.normal(size=n)
+    want = abs(np.vdot(z, x.astype(complex))) ** 2
+    assert fidelity(z, x) == pytest.approx(want, rel=1e-12)
+    assert fidelity(x, z) == pytest.approx(want, rel=1e-12)
+
+
 # -- pipeline ---------------------------------------------------------------------
 
 
@@ -290,6 +322,67 @@ def test_compile_policies_report_search_metadata():
     assert exh["ledger_fidelity"] >= fixed["ledger_fidelity"] - 1e-12
     _, worst = compile_circuit(cov, grid, 3, structure="fixed-worst")
     assert worst["ledger_fidelity"] <= exh["ledger_fidelity"] + 1e-12
+
+
+def _count_tci_builds(monkeypatch):
+    import ttnprep.sim as simmod
+
+    calls = []
+    inner = simmod.tci_build
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(simmod, "tci_build", counted)
+    return calls
+
+
+def _caterpillar_start(D, seed, M):
+    perm = np.random.default_rng(seed).permutation(D)
+    return TreeTopology.from_leaf_tree(_shuffled_caterpillar(D, perm), D, M)
+
+
+@pytest.mark.parametrize("D,start", [(4, False), (8, True)])
+def test_auto_optimize_interpolates_once(D, start, monkeypatch):
+    calls = _count_tci_builds(monkeypatch)
+    cov = make_covariance("random", D, sigma_max=0.2, seed=2)
+    grid = GridSpec(D, 3, 16.0, 2)
+    topo = _caterpillar_start(D, 0, grid.M) if start else None
+    _, rec = compile_circuit(cov, grid, 2, "qft-gates", chi_prime=4,
+                             structure="auto-optimize", topology=topo,
+                             sweeps=1)
+    assert len(calls) == 1
+    assert rec["tree"] is not None
+    built = TreeTopology.from_leaf_tree(rec["tree"], D, grid.M)
+    assert calls[0].bipartitions() == built.bipartitions()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_auto_optimize_beats_or_keeps_its_start(seed):
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=seed)
+    grid = GridSpec(4, 3, 16.0, 2)
+    for start in (_caterpillar_start(4, seed, grid.M),
+                  TreeTopology.mps(list(range(4)), grid.M)):
+        _, rec = compile_circuit(cov, grid, 2, "qft-gates", chi_prime=4,
+                                 structure="auto-optimize", topology=start,
+                                 sweeps=1)
+        # equal up to the order of the product when the start is kept
+        assert rec["predicted_fidelity"] >= \
+            predict_ttn_fidelity(cov, start, 2) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_auto_optimize_small_dims_build_the_base_tree(D, monkeypatch):
+    cov = make_covariance("random", D, sigma_max=0.2, seed=0)
+    grid = GridSpec(D, 3, 16.0, 2)
+    _, fixed = compile_circuit(cov, grid, 2, "qft-gates", chi_prime=4,
+                               sweeps=1)
+    calls = _count_tci_builds(monkeypatch)
+    _, auto = compile_circuit(cov, grid, 2, "qft-gates", chi_prime=4,
+                              structure="auto-optimize", sweeps=1)
+    assert len(calls) == 1
+    assert auto["tree"] == fixed["tree"]
 
 
 @pytest.mark.parametrize("structure", STRUCTURE_POLICIES)

@@ -1,15 +1,20 @@
-"""Entropy-guided reconnection moves and the sweep driver."""
+"""Entropy-guided reconnection moves, their sweep, and the tree search
+on the covariance's cut spectra."""
 
 import math
 
 import numpy as np
 import pytest
 
+import time
+
 from ttnprep import (ParameterError, ReconnectionChoice, TreeTopology,
-                     local_reconnect, make_covariance, optimize_structure)
-from ttnprep.structopt import PAIRING_NAMES
+                     local_reconnect, make_covariance, optimize_structure,
+                     predict_ttn_fidelity)
+from ttnprep.structopt import PAIRING_NAMES, covariance_tree
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
-from ttnprep.topology import canonical_leaf_tree, caterpillar_leaf_tree
+from ttnprep.topology import (canonical_leaf_tree, caterpillar_leaf_tree,
+                              random_leaf_tree)
 from ttnprep.ttn import from_dense
 
 PAIRED_01_23 = ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5))
@@ -148,3 +153,95 @@ def test_optimize_report_shape():
         r["accepted"] for r in report["sweeps"])
     for choice in report["choices"]:
         assert isinstance(choice, ReconnectionChoice)
+
+
+# -- tree search on the covariance ----------------------------------------------
+
+
+def _leaf_splits(edges, D):
+    """Each edge's split of the leaves 0..D-1, as the side without leaf 0."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    splits = set()
+    for u, v in edges:
+        side, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for y in adj[x] - side - {u}:
+                side.add(y)
+                todo.append(y)
+        leaves = frozenset(x for x in side if x < D)
+        splits.add(leaves if 0 not in leaves else frozenset(range(D)) - leaves)
+    return splits
+
+
+def _nni_neighbors(edges, D):
+    """Every tree one nearest-neighbor interchange away from edges."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    out = []
+    for u, v in edges:
+        if u < D or v < D:
+            continue
+        b = min(adj[u] - {v})
+        for s in adj[v] - {u}:
+            swap = {(u, b): (v, b), (b, u): (v, b),
+                    (v, s): (u, s), (s, v): (u, s)}
+            out.append([swap.get(e, e) for e in edges])
+    return out
+
+
+def test_covariance_tree_recovers_generator_trees():
+    # drawn as scaling.recovery_study draws its D=8 instances
+    t0 = time.monotonic()
+    for g in range(48):
+        rng = np.random.default_rng(1000 + g)
+        tree = random_leaf_tree(8, rng)
+        cov = make_covariance("tree", 8, edges=tree, sigma=3.0)
+        edges, _ = covariance_tree(cov, 8)
+        assert _leaf_splits(edges, 8) == _leaf_splits(tree, 8), g
+    assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("D,seed,sigma_max,chi", [
+    *((D, s, 0.2, chi) for D in (5, 6, 7, 8) for s in range(3)
+      for chi in (2, 3)),
+    (6, 38, 0.2, 2),  # the merge order leaves one NNI move to take
+])
+def test_covariance_tree_is_nni_locally_optimal(D, seed, sigma_max, chi):
+    cov = make_covariance("random", D, sigma_max=sigma_max, seed=seed)
+    edges, info = covariance_tree(cov, chi)
+    topo = TreeTopology.from_leaf_tree(edges, D, 2)
+    got = predict_ttn_fidelity(cov, topo, chi)
+    assert info["predicted_fidelity"] == pytest.approx(got, rel=1e-12)
+    assert len(_leaf_splits(edges, D)) == 2 * D - 3
+    if (D, seed) == (6, 38):
+        assert info["reconnections"] == 1
+    for alt in _nni_neighbors(edges, D):
+        other = TreeTopology.from_leaf_tree(alt, D, 2)
+        assert predict_ttn_fidelity(cov, other, chi) <= got * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_covariance_tree_small_dims_skip_the_search(D):
+    cov = make_covariance("random", D, sigma_max=0.2, seed=0)
+    edges, info = covariance_tree(cov, 2)
+    assert edges == caterpillar_leaf_tree(D)
+    assert info["reconnections"] == 0
+
+
+def test_covariance_tree_keeps_a_better_start():
+    # a path with physical legs on every node truncates no single-leaf cut
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=1)
+    mps = TreeTopology.mps(list(range(4)), 4)
+    edges, info = covariance_tree(cov, 2, start=mps)
+    assert edges is None
+    assert info["predicted_fidelity"] == pytest.approx(
+        predict_ttn_fidelity(cov, mps, 2), rel=1e-12)
+    searched, alone = covariance_tree(cov, 2)
+    assert searched is not None
+    assert alone["predicted_fidelity"] < info["predicted_fidelity"]
