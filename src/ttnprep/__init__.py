@@ -27,7 +27,8 @@ from .circuit import (CostReport, Placement, QftTtn, QuantumCircuit,
                       build_qft_ttn, compose_and_compress, fsl_baseline_cost,
                       qubitize, synthesize, with_inverse_dft)
 from .sim import (StateVector, baseline_comparison, compile_circuit, fidelity,
-                  simulate, verify_pipeline)
+                  reference, scan_trees, simulate, verify_circuit,
+                  verify_pipeline)
 
 __version__ = "0.1.0"
 

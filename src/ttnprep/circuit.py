@@ -31,6 +31,7 @@ from .topology import walk
 from .ttn import Edge, TreeTensorNetwork, label_from_json, label_to_json
 
 ISOMETRY_TOL = 1e-10
+TRUNC_TOL = 1e-12     # relative rank cut of every compression sweep
 
 
 def _qubits_for(dim: int) -> int:
@@ -120,7 +121,7 @@ def build_qft_ttn(n: int, m: int) -> QftTtn:
 
 
 def compose_and_compress(coeff_net: TreeTensorNetwork, qft: QftTtn,
-                         chi: int, tol: float = 1e-12) -> TreeTensorNetwork:
+                         chi: int) -> TreeTensorNetwork:
     """Graft one inverse-DFT chain per dimension and recompress.
 
     chi caps the cross-dimension coefficient bonds; the qubit-level sweep
@@ -136,11 +137,11 @@ def compose_and_compress(coeff_net: TreeTensorNetwork, qft: QftTtn,
                 f"leg {lab!r} has dimension {net.edge_dim(e)}, expected {M}")
     root = min(net.tensors)
     net.canonicalize(root)
-    net.truncate(chi=chi, tol=tol)
+    net.truncate(chi=chi, tol=TRUNC_TOL)
     for d in sorted(net.labels()):
         net.attach_chain(d, qft.chain_tensors(), qft.qubit_labels(d))
     net.canonicalize(root)
-    net.truncate(chi=max(chi, M), tol=tol)
+    net.truncate(chi=max(chi, M), tol=TRUNC_TOL)
     return net
 
 

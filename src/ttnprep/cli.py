@@ -256,7 +256,8 @@ def _bench_one(args) -> list[dict]:
     rows, _ = scaling.fidelity_study(
         cfg.chis or [cfg.chi], [seed], D=cfg.dim, n=cfg.n, m=cfg.m,
         sigma_max=cfg.generator.get("sigma_max", 0.2), mode=cfg.mode,
-        chi_prime=cfg.chi_prime, structure=cfg.structure)
+        chi_prime=cfg.chi_prime, structure=cfg.structure, box=cfg.box,
+        sweeps=cfg.sweeps)
     return rows
 
 

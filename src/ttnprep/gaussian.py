@@ -32,6 +32,9 @@ SYMMETRY_TOL = 1e-12
 RANK_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-13
 RESAMPLE_BUDGET = 1000
+PAIR_CUTOFF = 1e-16   # tail mass at which a pair spectrum stops ...
+PAIR_TERMS = 100000   # ... or its length, whichever comes first
+BOND_TERMS = 2 ** 20  # lattice terms required_bond may enumerate
 
 COVARIANCE_KINDS = ("uniform", "chain", "tree", "exp-decay-chain",
                     "stacked-chain", "random")
@@ -273,12 +276,11 @@ class SchmidtSpectrum:
         return float(self.values[r:].sum() + self.tail)
 
 
-def pair_spectrum(rho: float, *, cutoff: float = 1e-16,
-                  max_terms: int = 100000) -> SchmidtSpectrum:
+def pair_spectrum(rho: float) -> SchmidtSpectrum:
     """Geometric Schmidt spectrum of a correlated Gaussian pair.
 
     The tail after r terms is exactly q**r (lam0 = 1 - q), so terms are
-    generated until q**r < cutoff.
+    generated until q**r < PAIR_CUTOFF (at most PAIR_TERMS of them).
     """
     if not 0.0 <= rho < 1.0:
         raise ParameterError("rho must lie in [0, 1)")
@@ -287,7 +289,7 @@ def pair_spectrum(rho: float, *, cutoff: float = 1e-16,
     K = 1.0 / math.sqrt(1.0 - rho * rho)
     lam0 = 2.0 / (K + 1.0)
     q = (K - 1.0) / (K + 1.0)
-    n = max(1, min(max_terms, math.ceil(math.log(cutoff) / math.log(q))))
+    n = max(1, min(PAIR_TERMS, math.ceil(math.log(PAIR_CUTOFF) / math.log(q))))
     values = lam0 * q ** np.arange(n)
     return SchmidtSpectrum(values, q ** n)
 
@@ -335,7 +337,7 @@ def cut_spectrum(corrs: np.ndarray, max_terms: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(values, tail)
 
 
-def required_bond(source, eps: float, *, max_terms: int = 2 ** 20) -> int:
+def required_bond(source, eps: float) -> int:
     """Smallest r whose discarded mass after the top r coefficients is
     <= eps^2.
 
@@ -360,7 +362,7 @@ def required_bond(source, eps: float, *, max_terms: int = 2 ** 20) -> int:
         r = _first_certified(spectrum, target)
         if r is not None:
             return r
-        if spectrum.tail <= 0.0 or terms >= max_terms:
+        if spectrum.tail <= 0.0 or terms >= BOND_TERMS:
             raise PrecisionError(
                 f"accuracy {eps:g} not certified within {terms} lattice terms")
         terms *= 4

@@ -19,7 +19,9 @@ from .errors import ParameterError
 from .fourier import FourierEvaluator, GridSpec, exact_target
 from .gaussian import (Bipartition, canonical_correlations, make_covariance,
                        pair_spectrum, required_bond_profile)
-from .sim import baseline_comparison, interpolate, verify_pipeline
+from .sim import (SCAN_ENDS, STRUCTURE_POLICIES, baseline_comparison,
+                  compile_circuit, interpolate, reference, scan_trees,
+                  verify_circuit)
 from .structopt import optimize_structure
 from .topology import (TreeTopology, canonical_leaf_tree,
                        caterpillar_leaf_tree, random_leaf_tree)
@@ -240,23 +242,28 @@ def recovery_study(D: int, chis, seeds, *, sigma: float = 3.0, n: int = 5,
 def fidelity_study(chis, seeds, *, D: int = 3, n: int = 6, m: int = 4,
                    sigma_max: float = 0.2, mode: str = "qft-gates",
                    chi_prime: int | None = None, structure: str = "fixed",
+                   box: float = 16.0, sweeps: int = 6,
                    ) -> tuple[list[dict], dict]:
     """End-to-end compile+simulate batch over seeds and bond limits.
 
     Rows carry the full verification record plus baseline cost ratios;
     the summary reports mean simulated infidelity per chi and the worst
-    ledger-versus-simulation gap.
+    ledger-versus-simulation gap. Each covariance has one reference,
+    shared by its chis.
     """
-    grid = GridSpec(D, n, 16.0, m)
+    grid = GridSpec(D, n, box, m)
     rows = []
     infid = {int(c): [] for c in chis}
     worst_gap = 0.0
     for seed in seeds:
         cov = make_covariance("random", D, sigma_max=sigma_max, seed=seed)
+        ref = reference(grid, cov)
         for chi in chis:
-            rec = verify_pipeline(cov, grid, int(chi), mode,
-                                  chi_prime=chi_prime, structure=structure,
-                                  seed=seed)
+            circ, rec = compile_circuit(cov, grid, int(chi), mode,
+                                        chi_prime=chi_prime,
+                                        structure=structure, sweeps=sweeps,
+                                        seed=seed)
+            rec = verify_circuit(circ, rec, ref)
             rec.update(baseline_comparison(rec))
             rec["infidelity"] = 1.0 - (rec["simulated_fidelity"]
                                        / rec["fourier_fidelity"])
@@ -268,20 +275,35 @@ def fidelity_study(chis, seeds, *, D: int = 3, n: int = 6, m: int = 4,
                   "worst_gap": worst_gap}
 
 
-def policy_study(seeds, *, D: int = 4, n: int = 5, m: int = 4, chi: int = 3,
-                 sigma_max: float = 0.2, mode: str = "qft-gates",
-                 policies=("fixed", "auto-optimize", "exhaustive-optimal",
-                           "fixed-worst")) -> tuple[list[dict], dict]:
+# the policy comparison: D=4 random covariances on a 20-qubit grid at chi 3
+POLICY_GRID = GridSpec(4, 5, 16.0, 4)
+POLICY_CHI = 3
+POLICY_SIGMA_MAX = 0.2
+POLICY_MODE = "qft-gates"
+
+
+def policy_study(seeds) -> tuple[list[dict], dict]:
     """Mean simulated infidelity of each structure policy on one seeded
-    covariance batch."""
-    grid = GridSpec(D, n, 16.0, m)
+    covariance batch.
+
+    Per covariance: one reference, one compile each for "fixed" and
+    "auto-optimize", and one scan_trees whose two ends serve the scan
+    policies.
+    """
+    grid = POLICY_GRID
     rows = []
-    acc = {p: [] for p in policies}
+    acc = {p: [] for p in STRUCTURE_POLICIES}
     for seed in seeds:
-        cov = make_covariance("random", D, sigma_max=sigma_max, seed=seed)
-        for pol in policies:
-            rec = verify_pipeline(cov, grid, chi, mode, structure=pol,
-                                  seed=seed)
+        cov = make_covariance("random", grid.dim,
+                              sigma_max=POLICY_SIGMA_MAX, seed=seed)
+        ref = reference(grid, cov)
+        ranked = scan_trees(cov, grid, POLICY_CHI, POLICY_MODE, seed=seed)
+        ends = {p: ranked[end] for p, end in SCAN_ENDS.items()}
+        for pol in STRUCTURE_POLICIES:
+            circ, rec = ends.get(pol) or compile_circuit(
+                cov, grid, POLICY_CHI, POLICY_MODE, structure=pol, seed=seed)
+            rec = verify_circuit(circ, rec, ref)
+            rec["structure"] = pol
             rec["infidelity"] = 1.0 - (rec["simulated_fidelity"]
                                        / rec["fourier_fidelity"])
             rows.append(rec)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (QuantumCircuit, build_qft_ttn, compose_and_compress,
-                      fsl_baseline_cost, qubitize, synthesize,
-                      with_inverse_dft)
+from .circuit import (TRUNC_TOL, QuantumCircuit, build_qft_ttn,
+                      compose_and_compress, fsl_baseline_cost, qubitize,
+                      synthesize, with_inverse_dft)
 from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
                      ParameterError, ShapeError)
 from .fourier import FourierEvaluator, GridSpec, exact_target, fsl_state
@@ -30,11 +30,14 @@ from .topology import (TreeTopology, canonical_leaf_tree,
 
 NORM_DRIFT_TOL = 1e-10
 OVERLAP_BLOCK = 1 << 12
+GAP_TOL = 1e-2   # ledger-versus-simulation gap that verification flags
 
 MODES = ("qft-ttn", "qft-gates")
 
 STRUCTURE_POLICIES = ("fixed", "auto-optimize", "exhaustive-optimal",
                       "fixed-worst")
+# the scan policies and the end of the scan_trees ranking each one takes
+SCAN_ENDS = {"exhaustive-optimal": 0, "fixed-worst": -1}
 
 
 @dataclass(eq=False)
@@ -175,10 +178,62 @@ def _emit(coeff_net, grid, chi, mode):
         return net, circ, cost
     net = qubitize(coeff_net)
     net.canonicalize(min(net.tensors))
-    net.truncate(chi=chi, tol=1e-12)
+    net.truncate(chi=chi, tol=TRUNC_TOL)
     circ, _ = synthesize(net)
     circ = with_inverse_dft(circ, grid.n)
     return net, circ, circ.cost
+
+
+def _head(grid, chi, mode, chi_prime, structure, seed) -> dict:
+    """Check the mode and start a compile record; the evaluator checks
+    that grid and covariance agree."""
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
+    if chi_prime is None:
+        chi_prime = max(2 * chi, 16)
+    return {"dim": grid.dim, "n": grid.n, "m": grid.m, "chi": chi,
+            "chi_prime": chi_prime, "mode": mode, "structure": structure,
+            "seed": seed}
+
+
+def _compile_on(ev, topo, grid, mode, sweeps, head, extra):
+    """Interpolate on topo, compress and synthesize; the record is head,
+    the TCI fields, extra (which names the tree), then the cost."""
+    coeff, tci_rec = interpolate(ev, topo, head["chi_prime"], sweeps,
+                                 head["seed"])
+    net, circ, cost = _emit(coeff, grid, head["chi"], mode)
+    return circ, {**head, **tci_rec, **extra,
+                  "ledger_fidelity": net.ledger.product,
+                  "cnot_count": cost.cnot_count, "qft_cnots": cost.qft_cnots,
+                  "depth": cost.depth, "qubits": circ.qubits}
+
+
+def scan_trees(cov: CovarianceMatrix, grid: GridSpec, chi: int,
+               mode: str = "qft-ttn", *, chi_prime: int | None = None,
+               sweeps: int = 6, seed: int = 0,
+               ) -> list[tuple[QuantumCircuit, dict]]:
+    """Compile on every leaf tree (D <= 6) and rank the results.
+
+    Returns (circuit, record) pairs, best ledger first, then fewest
+    CNOTs, then enumeration order. All builds share one evaluator, so
+    one exact norm. The records carry "trees_scanned" and a "structure"
+    of None: the first pair serves "exhaustive-optimal" and the last
+    "fixed-worst" (SCAN_ENDS).
+    """
+    head = _head(grid, chi, mode, chi_prime, None, seed)
+    D = grid.dim
+    if D > 6:
+        raise CapacityError(
+            f"structure sweep over all trees needs D <= 6, got {D}")
+    ev = FourierEvaluator(grid, cov)
+    trees = enumerate_leaf_trees(D)
+    builds = [_compile_on(ev, TreeTopology.from_leaf_tree(edges, D, grid.M),
+                          grid, mode, sweeps, head,
+                          {"trees_scanned": len(trees), "tree": edges})
+              for edges in trees]
+    order = sorted(range(len(builds)), key=lambda i: (
+        -builds[i][1]["ledger_fidelity"], builds[i][1]["cnot_count"], i))
+    return [builds[i] for i in order]
 
 
 def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
@@ -188,7 +243,7 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
                     sweeps: int = 6, seed: int = 0,
                     ) -> tuple[QuantumCircuit, dict]:
     """Full compile: tree selection per policy, cross interpolation at
-    chi_prime on each candidate tree, compression to chi, synthesis.
+    chi_prime, compression to chi, synthesis.
 
     Policies: "fixed" builds the explicit topology or the caterpillar.
     "auto-optimize" picks the leaf tree from the covariance alone
@@ -198,107 +253,91 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     moves maximize the product of kept masses; an explicit topology is
     built instead only when it keeps strictly more. One interpolation
     follows, and the record adds "reconnections" (NNI moves taken) and
-    "predicted_fidelity". "exhaustive-optimal" and "fixed-worst" build
-    every tree (D <= 6) and keep the best or the worst ledger.
+    "predicted_fidelity". "exhaustive-optimal" and "fixed-worst" return
+    the first and the last pair of scan_trees, with "structure" set to
+    the policy. One leaf has one tree, which every policy builds as
+    "fixed" does.
 
     Returns the circuit and a build record; no simulation happens here,
     so the instance can be far beyond the dense cap.
     """
-    if grid.dim != cov.dim:
-        raise ParameterError(
-            f"grid dimension {grid.dim} != covariance dimension {cov.dim}")
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
     if structure not in STRUCTURE_POLICIES:
         raise ParameterError(f"unknown structure policy {structure!r}")
-    D, M = grid.dim, grid.M
-    scan = structure in ("exhaustive-optimal", "fixed-worst")
-    if topology is not None and scan:
+    if topology is not None and structure in SCAN_ENDS:
         raise ParameterError(
             f"an explicit topology cannot combine with {structure!r}")
-    if scan and D > 6:
-        raise CapacityError(
-            f"structure sweep over all trees needs D <= 6, got {D}")
-    if chi_prime is None:
-        chi_prime = max(2 * chi, 16)
-
-    record: dict = {"dim": D, "n": grid.n, "m": grid.m, "chi": chi,
-                    "chi_prime": chi_prime, "mode": mode,
-                    "structure": structure, "seed": seed}
-    # one evaluator, so one exact norm, shared by every build
+    D = grid.dim
+    if structure in SCAN_ENDS and D > 1:
+        ranked = scan_trees(cov, grid, chi, mode, chi_prime=chi_prime,
+                            sweeps=sweeps, seed=seed)
+        circ, record = ranked[SCAN_ENDS[structure]]
+        return circ, {**record, "structure": structure}
+    head = _head(grid, chi, mode, chi_prime, structure, seed)
     ev = FourierEvaluator(grid, cov)
-
-    def build(edges):
-        # edges None stands for the explicit topology
-        topo = topology if edges is None else \
-            TreeTopology.from_leaf_tree(edges, D, M)
-        coeff, tci_rec = interpolate(ev, topo, chi_prime, sweeps, seed)
-        return _emit(coeff, grid, chi, mode) + (tci_rec,)
-
-    ident = {i: i for i in range(D)}
-
-    # candidate trees per policy, then one build each and one pick
-    extra = {}
-    if structure == "fixed" or D == 1:
-        trees = [None if topology is not None else
-                 _match_enumeration(D, caterpillar_leaf_tree(D), ident)]
-    elif structure == "auto-optimize":
+    if structure == "auto-optimize" and D > 1:
         # the tree comes from the covariance's cut spectra at chi, where
         # the circuit pays the truncation, so only that tree interpolates
         edges, extra = covariance_tree(cov, chi, start=topology)
-        trees = [None if edges is None else
-                 _match_enumeration(D, edges, ident)]
     else:
-        trees = enumerate_leaf_trees(D)
-        extra["trees_scanned"] = len(trees)
-    builds = [build(edges) for edges in trees]
-    # best ledger first, then fewest CNOTs, then scan order
-    ranked = sorted(range(len(builds)), key=lambda i: (
-        -builds[i][0].ledger.product, builds[i][2].cnot_count, i))
-    pick = ranked[-1] if structure == "fixed-worst" else ranked[0]
-    net, circ, cost, tci_rec = builds[pick]
-    record.update(tci_rec)
-    record.update(extra)
-    record["tree"] = trees[pick]
-    record["ledger_fidelity"] = net.ledger.product
-    record["cnot_count"] = cost.cnot_count
-    record["qft_cnots"] = cost.qft_cnots
-    record["depth"] = cost.depth
-    record["qubits"] = circ.qubits
-    return circ, record
+        edges = None if topology is not None else caterpillar_leaf_tree(D)
+        extra = {}
+    if edges is not None:
+        edges = _match_enumeration(D, edges, {i: i for i in range(D)})
+    topo = topology if edges is None else \
+        TreeTopology.from_leaf_tree(edges, D, grid.M)
+    return _compile_on(ev, topo, grid, mode, sweeps, head,
+                       {**extra, "tree": edges})
+
+
+def reference(grid: GridSpec, cov: CovarianceMatrix
+              ) -> tuple[np.ndarray, float]:
+    """What every circuit for this covariance is checked against: the
+    flattened exact target and the Fourier ceiling, the fidelity of the
+    untruncated coefficient state with it. Both are dense, so the grid
+    must fit the dense cap."""
+    if grid.dim * grid.n > MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"{grid.dim * grid.n} qubits exceeds the dense cap "
+            f"{MAX_DENSE_QUBITS}")
+    target = exact_target(grid, cov).ravel()
+    return target, fidelity(fsl_state(grid, cov).ravel(), target)
+
+
+def verify_circuit(circ: QuantumCircuit, record: dict,
+                   ref: tuple[np.ndarray, float]) -> dict:
+    """Simulate a compiled circuit and reconcile its fidelity account.
+
+    The simulated fidelity against the reference target is compared with
+    ledger_fidelity * fourier_fidelity; a gap beyond GAP_TOL is flagged,
+    not raised, so batch sweeps can keep going. Returns a copy of the
+    record with the verification fields added.
+    """
+    target, ceiling = ref
+    sim_f = fidelity(simulate(circ), target)
+    stage = sim_f / ceiling if ceiling > 0 else 0.0
+    gap = abs(record["ledger_fidelity"] - stage)
+    out = {**record, "fourier_fidelity": ceiling, "simulated_fidelity": sim_f,
+           "gap": gap, "gap_ok": gap <= GAP_TOL,
+           "ceiling_ok": sim_f <= ceiling + 1e-10}
+    out["ok"] = bool(out["gap_ok"] and out["ceiling_ok"])
+    return out
 
 
 def verify_pipeline(cov: CovarianceMatrix, grid: GridSpec, chi: int,
                     mode: str = "qft-ttn", *, chi_prime: int | None = None,
                     structure: str = "fixed",
                     topology: TreeTopology | None = None,
-                    sweeps: int = 6, seed: int = 0,
-                    report_tol: float = 1e-2) -> dict:
-    """Compile, simulate, and reconcile the fidelity accounting.
+                    sweeps: int = 6, seed: int = 0) -> dict:
+    """Compile, then check: reference, compile_circuit, verify_circuit.
 
-    The simulated fidelity against the exactly discretized target is
-    compared with ledger_fidelity * fourier_fidelity; a gap beyond
-    report_tol is flagged, not raised, so batch sweeps can keep going.
+    A batch that compiles several circuits for one covariance should
+    call the three itself and share one reference.
     """
-    if grid.dim * grid.n > MAX_DENSE_QUBITS:
-        raise CapacityError(
-            f"{grid.dim * grid.n} qubits exceeds the dense cap "
-            f"{MAX_DENSE_QUBITS}")
+    ref = reference(grid, cov)
     circ, record = compile_circuit(
         cov, grid, chi, mode, chi_prime=chi_prime, structure=structure,
         topology=topology, sweeps=sweeps, seed=seed)
-    target = exact_target(grid, cov).ravel()
-    ceiling = fidelity(fsl_state(grid, cov).ravel(), target)
-    psi = simulate(circ)
-    sim_f = fidelity(psi, target)
-    stage = sim_f / ceiling if ceiling > 0 else 0.0
-    record["fourier_fidelity"] = ceiling
-    record["simulated_fidelity"] = sim_f
-    record["gap"] = abs(record["ledger_fidelity"] - stage)
-    record["gap_ok"] = record["gap"] <= report_tol
-    record["ceiling_ok"] = sim_f <= ceiling + 1e-10
-    record["ok"] = bool(record["gap_ok"] and record["ceiling_ok"])
-    return record
+    return verify_circuit(circ, record, ref)
 
 
 def baseline_comparison(record: dict) -> dict:

@@ -65,8 +65,8 @@ def _pairing_entropy(mat: np.ndarray, chi: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def local_reconnect(net: TreeTensorNetwork, e: int, chi: int,
-                    tie_tol: float = TIE_TOL) -> ReconnectionChoice | None:
+def local_reconnect(net: TreeTensorNetwork, e: int,
+                    chi: int) -> ReconnectionChoice | None:
     """Try the three pairings of the 4 outward legs around bond e.
 
     Returns None (and changes nothing) unless both endpoints have degree
@@ -95,7 +95,7 @@ def local_reconnect(net: TreeTensorNetwork, e: int, chi: int,
         mat = tp.reshape(tp.shape[0] * tp.shape[1], -1)
         entropies.append(_pairing_entropy(mat, chi))
     chosen = int(np.argmin(entropies))
-    if entropies[0] <= entropies[chosen] + tie_tol:
+    if entropies[0] <= entropies[chosen] + TIE_TOL:
         chosen = 0
     accepted = chosen != 0
     if not accepted and net.edge_dim(e) <= chi:
@@ -142,8 +142,7 @@ def _reattach(net: TreeTensorNetwork, e: int, node: int,
     net.edges[e] = Edge((node, other))
 
 
-def optimize_structure(net: TreeTensorNetwork, chi: int,
-                       max_sweeps: int = 6, tie_tol: float = TIE_TOL,
+def optimize_structure(net: TreeTensorNetwork, chi: int, max_sweeps: int = 6,
                        ) -> tuple[TreeTensorNetwork, dict]:
     """Sweep local reconnections over all bonds until a sweep accepts no
     change (or max_sweeps). The net is modified in place and returned
@@ -161,7 +160,7 @@ def optimize_structure(net: TreeTensorNetwork, chi: int,
         for e in bond_ids:
             u, _ = net.edges[e].nodes
             net.move_center(u)
-            rc = local_reconnect(net, e, chi, tie_tol)
+            rc = local_reconnect(net, e, chi)
             if rc is None:
                 skipped += 1
                 continue

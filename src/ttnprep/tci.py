@@ -35,6 +35,10 @@ from .topology import TreeTopology, walk
 from .ttn import TreeTensorNetwork
 
 MAXVOL_DELTA = 1e-2
+MAXVOL_ITERS = 200
+TCI_TOL = 1e-10      # residual, relative to the peak |f|, that stops growth
+KICK = 4             # extension columns sampled per growth step
+PROBES = 1000        # random entries behind the per-sweep residual
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -94,8 +98,7 @@ class BlackBoxTensor:
                    fn=lambda idx: evaluator.eval_indices(idx))
 
 
-def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA,
-           max_iter: int = 200) -> np.ndarray:
+def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
     """Rows of a (tall, full-column-rank) matrix forming a dominant
     square submatrix: all entries of a @ a[rows]^{-1} have magnitude
     <= 1 + delta. Partial-pivot LU initialization, then greedy swaps."""
@@ -118,7 +121,7 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA,
     if sv[-1] <= 1e-13 * max(sv[0], 1e-300):
         raise RankError("candidate matrix is rank deficient")
     coef = solve(sub.T, a.T).T
-    for _ in range(max_iter):
+    for _ in range(MAXVOL_ITERS):
         i, j = np.unravel_index(np.argmax(np.abs(coef)), coef.shape)
         if abs(coef[i, j]) <= 1.0 + delta:
             break
@@ -235,8 +238,7 @@ def _merge(rows_a: np.ndarray, cols_a, rows_b: np.ndarray, cols_b,
 
 
 def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
-              sweeps: int = 8, tol: float = 1e-10, seed: int = 0,
-              kick: int = 4, probes: int = 1000,
+              sweeps: int = 8, seed: int = 0,
               ) -> tuple[TreeTensorNetwork, dict]:
     """Interpolate the black box on the given tree topology with bond
     ranks grown adaptively up to chi.
@@ -265,7 +267,7 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
                      "pivots": state.snapshot()}
 
     state = _PivotState(topo, dims_map)
-    probe_set = _probe_indices(rng, f.dims, probes)
+    probe_set = _probe_indices(rng, f.dims, PROBES)
     probe_vals = f(probe_set)
 
     residual_hist: list[float] = []
@@ -275,16 +277,16 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     for sweep in range(sweeps):
         sweeps_run = sweep + 1
         for u, v, bond in state.schedule:  # forward: the root-facing side
-            _update_side(f, state, bond, u, v, chi, tol, kick, rng)
+            _update_side(f, state, bond, u, v, chi, rng)
         for u, v, bond in reversed(state.schedule):  # backward: the far side
-            _update_side(f, state, bond, v, u, chi, tol, kick, rng)
+            _update_side(f, state, bond, v, u, chi, rng)
         net = _assemble(f, state)
         resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals)))
         if resid < best[0]:
             best = (resid, state.snapshot(), net)
         residual_hist.append(best[0])
         scale = max(f.max_abs, 1e-300)
-        if best[0] <= tol * scale:
+        if best[0] <= TCI_TOL * scale:
             converged = True
             break
     _, state.pivots, net = best
@@ -298,8 +300,7 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
 
 
 def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
-                 chi: int, tol: float, kick: int,
-                 rng: np.random.Generator) -> None:
+                 chi: int, rng: np.random.Generator) -> None:
     """Re-select the u-side pivots of `bond` by maxvol over the candidate
     product of u's other legs, then try residual-guided rank growth."""
     L = len(state.labels)
@@ -342,7 +343,7 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
     budget = max(2, chi // 4)
     while r < chi and r < len(cand_u) and budget > 0:
         budget -= 1
-        ext = _sample_side(state, bond, v, kick, rng)
+        ext = _sample_side(state, bond, v, KICK, rng)
         ext = _dedupe_against(ext, state.pivots[(bond, v)])
         if not len(ext):
             break
@@ -355,7 +356,7 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
                 from exc
         resid = np.abs(c - proj)
         i, j = np.unravel_index(np.argmax(resid), resid.shape)
-        if resid[i, j] <= tol * scale:
+        if resid[i, j] <= TCI_TOL * scale:
             break
         state.pivots[(bond, v)] = np.vstack([state.pivots[(bond, v)],
                                              ext[j:j + 1]])

@@ -28,6 +28,7 @@ from .errors import (MAX_DENSE_QUBITS, CapacityError, NormalizationError,
 from .topology import TreeTopology, walk
 
 MAGIC = b"TTNET001"
+DENSE_CUTOFF = 1e-14
 
 
 def frobenius_from_fidelity(f: float) -> float:
@@ -626,12 +627,12 @@ def label_from_json(obj):
     return obj
 
 
-def from_dense(tensor: np.ndarray, topo: TreeTopology,
-               cutoff: float = 1e-14) -> TreeTensorNetwork:
-    """Exact (up to cutoff * s_max rank trimming) decomposition of a dense
-    tensor into the given topology by recursive SVD splitting. The tensor
-    axes follow label-sorted order. The result is canonical with the
-    center at the first topology node."""
+def from_dense(tensor: np.ndarray,
+               topo: TreeTopology) -> TreeTensorNetwork:
+    """Exact (up to DENSE_CUTOFF * s_max rank trimming) decomposition of a
+    dense tensor into the given topology by recursive SVD splitting. The
+    tensor axes follow label-sorted order. The result is canonical with
+    the center at the first topology node."""
     labels = topo.labels()
     dims = topo.leaf_dims()
     if tuple(tensor.shape) != tuple(dims[lab] for lab in labels):
@@ -670,7 +671,7 @@ def from_dense(tensor: np.ndarray, topo: TreeTopology,
             mat = np.transpose(t, rows + cols).reshape(
                 int(np.prod([t.shape[i] for i in rows])) or 1, -1)
             uu, s, vh = np.linalg.svd(mat, full_matrices=False)
-            r = max(1, int((s > cutoff * s[0]).sum())) if s.size else 1
+            r = max(1, int((s > DENSE_CUTOFF * s[0]).sum())) if s.size else 1
             keep = uu[:, :r] * s[:r]
             child_t = vh[:r].reshape((r,) + tuple(t.shape[i] for i in cols))
             todo[v] = child_t, [("bond", (u, v))] + [legs[i] for i in cols]

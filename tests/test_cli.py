@@ -204,6 +204,21 @@ def test_bench_outputs_and_determinism(tmp_path):
     assert infs["4"] <= infs["2"] + 1e-12
 
 
+def test_bench_row_is_the_verify_record_at_box_and_sweeps(tmp_path):
+    from ttnprep import GridSpec, make_covariance, verify_pipeline
+
+    assert _run("bench", "--kind", "random", "--param", "sigma_max=0.2",
+                "--dim", "2", "-n", "5", "-m", "3", "--chi", "2",
+                "--seeds", "1", "--box", "12", "--sweeps", "2",
+                "--outdir", str(tmp_path)) == EXIT_OK
+    [row] = _read_csv(tmp_path / "bench.csv")
+    rec = verify_pipeline(make_covariance("random", 2, sigma_max=0.2, seed=1),
+                          GridSpec(2, 5, 12.0, 3), 2, sweeps=2, seed=1)
+    assert float(row["sim_f"]) == rec["simulated_fidelity"]
+    assert float(row["ledger_f"]) == rec["ledger_fidelity"]
+    assert int(row["cnot"]) == rec["cnot_count"]
+
+
 def test_bench_parallel_matches_serial(tmp_path):
     a, b = tmp_path / "serial", tmp_path / "par"
     assert _run(*BENCH, "--outdir", str(a), "--jobs", "1") == EXIT_OK

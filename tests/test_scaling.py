@@ -8,8 +8,8 @@ from ttnprep.gaussian import make_covariance, required_bond_profile
 from ttnprep.scaling import (bond_growth_over_dim, chain_cut_bond,
                              chain_decay_study, compare_growth_models,
                              fidelity_study, linear_fit, offset_loglog_fit,
-                             pair_spectrum_check, recovery_study,
-                             stacked_bond_study)
+                             pair_spectrum_check, policy_study,
+                             recovery_study, stacked_bond_study)
 from ttnprep.topology import TreeTopology
 
 
@@ -133,3 +133,40 @@ def test_fidelity_study_smoke():
         assert rec["ok"]
         # at this toy scale, no worse than the dense baseline
         assert 0 < rec["cnot_ratio"] <= 1.0
+
+
+def _count_calls(monkeypatch, *names):
+    import ttnprep.sim as simmod
+
+    calls = {name: 0 for name in names}
+
+    def counting(name):
+        inner = getattr(simmod, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(simmod, name, counting(name))
+    return calls
+
+
+def test_policy_study_scans_once_per_covariance(monkeypatch):
+    calls = _count_calls(monkeypatch, "tci_build", "exact_target",
+                         "fsl_state")
+    rows, summary = policy_study([0])
+    # fixed, auto-optimize and the three 4-leaf trees of one scan
+    assert calls == {"tci_build": 5, "exact_target": 1, "fsl_state": 1}
+    assert [r["structure"] for r in rows] == [
+        "fixed", "auto-optimize", "exhaustive-optimal", "fixed-worst"]
+    assert rows[2]["ledger_fidelity"] >= rows[3]["ledger_fidelity"]
+    assert set(summary["mean_infidelity"]) == {r["structure"] for r in rows}
+
+
+def test_fidelity_study_one_reference_per_covariance(monkeypatch):
+    calls = _count_calls(monkeypatch, "exact_target", "fsl_state")
+    rows, _ = fidelity_study((2, 4, 8), [0])
+    assert len(rows) == 3
+    assert calls == {"exact_target": 1, "fsl_state": 1}

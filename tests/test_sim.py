@@ -8,8 +8,9 @@ import pytest
 from ttnprep import (CapacityError, CircuitValidityError, CovarianceMatrix,
                      ParameterError, Placement, QuantumCircuit, ShapeError,
                      baseline_comparison, compile_circuit, fidelity,
-                     make_covariance, predict_ttn_fidelity, simulate,
-                     synthesize, verify_pipeline)
+                     make_covariance, predict_ttn_fidelity, reference,
+                     scan_trees, simulate, synthesize, verify_circuit,
+                     verify_pipeline)
 from ttnprep.fourier import FourierEvaluator, GridSpec, exact_target
 from ttnprep.scaling import _shuffled_caterpillar
 from ttnprep.sim import STRUCTURE_POLICIES, StateVector
@@ -422,6 +423,78 @@ def test_verify_calls_each_stage_through_the_module(monkeypatch):
     verify_pipeline(cov, GridSpec(2, 3, 16.0, 2), chi=2, chi_prime=4,
                     sweeps=1)
     assert sorted(calls) == ["compile_circuit", "exact_target", "simulate"]
+
+
+def _placements(circ):
+    return [(p.targets, p.in_qubits, p.kind, p.matrix.tobytes())
+            for p in circ.placements]
+
+
+@pytest.mark.parametrize("mode", ["qft-ttn", "qft-gates"])
+def test_scan_ends_are_the_scan_policies(mode):
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
+    grid = GridSpec(4, 4, 16.0, 3)
+    ranked = scan_trees(cov, grid, 3, mode, chi_prime=8, sweeps=2, seed=1)
+    assert len(ranked) == 3  # distinct 4-leaf shapes
+    for (circ, rec), structure in ((ranked[0], "exhaustive-optimal"),
+                                   (ranked[-1], "fixed-worst")):
+        want_circ, want = compile_circuit(cov, grid, 3, mode, chi_prime=8,
+                                          structure=structure, sweeps=2,
+                                          seed=1)
+        assert rec["structure"] is None
+        assert want["structure"] == structure
+        assert list(rec) == list(want)
+        assert {k: v for k, v in rec.items() if k != "structure"} == \
+            {k: v for k, v in want.items() if k != "structure"}
+        assert _placements(circ) == _placements(want_circ)
+
+
+def test_scan_trees_ranks_best_ledger_then_fewest_cnots():
+    cov = make_covariance("random", 5, sigma_max=0.2, seed=4)
+    ranked = scan_trees(cov, GridSpec(5, 3, 16.0, 2), 2, "qft-gates",
+                        chi_prime=4, sweeps=1)
+    keys = [(-r["ledger_fidelity"], r["cnot_count"]) for _, r in ranked]
+    assert keys == sorted(keys)
+    assert len(ranked) == ranked[0][1]["trees_scanned"] == 15
+    trees = [r["tree"] for _, r in ranked]
+    assert len({str(t) for t in trees}) == 15
+
+
+def test_scan_trees_past_six_leaves_builds_nothing(monkeypatch):
+    import ttnprep.sim as simmod
+
+    built = []
+    monkeypatch.setattr(simmod, "FourierEvaluator",
+                        lambda *a: built.append(a))
+    cov = make_covariance("random", 7, sigma_max=0.2, seed=1)
+    with pytest.raises(CapacityError):
+        scan_trees(cov, GridSpec(7, 3, 16.0, 2), 2, "qft-gates")
+    assert built == []
+
+
+def test_verify_pipeline_is_reference_compile_verify():
+    cov = make_covariance("random", 2, sigma_max=0.2, seed=2)
+    grid = GridSpec(2, 5, 12.0, 3)
+    got = verify_pipeline(cov, grid, 2, "qft-gates", sweeps=3, seed=2)
+    ref = reference(grid, cov)
+    circ, rec = compile_circuit(cov, grid, 2, "qft-gates", sweeps=3, seed=2)
+    want = verify_circuit(circ, rec, ref)
+    assert got == want and list(got) == list(want)
+    assert "simulated_fidelity" not in rec  # the compile record is kept
+    target, ceiling = ref
+    assert target.shape == (2 ** 10,)
+    assert np.linalg.norm(target) == pytest.approx(1.0, abs=1e-12)
+    assert 0.99 < ceiling <= 1 + 1e-12
+
+
+def test_reference_respects_dense_cap(monkeypatch):
+    import ttnprep.sim as simmod
+
+    monkeypatch.setattr(simmod, "exact_target",
+                        lambda *a: pytest.fail("built a dense target"))
+    with pytest.raises(CapacityError):
+        reference(GridSpec(4, 7, 20.0, 4),
+                  make_covariance("uniform", 4, rho=0.1))
 
 
 def test_structure_policy_names_stable():
