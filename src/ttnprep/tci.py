@@ -28,7 +28,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lu_factor, solve
+# numpy's solve: the probe GEMMs run in numpy's BLAS pool, and a solve in
+# scipy's own pool right after one runs several times slower
+from numpy.linalg import solve
+from scipy.linalg import lu_factor
 
 from .errors import (ParameterError, PivotDegeneracyError, RankError)
 from .topology import TreeTopology, walk
@@ -41,10 +44,10 @@ KICK = 4             # extension columns sampled per growth step
 PROBES = 1000        # random entries behind the per-sweep residual
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width bytes key per int64 index row, for any axis sizes:
+def _row_keys(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """One fixed-width bytes key per index row, entries cast to dtype:
     equal rows give equal keys, and the keys sort, hash and compare."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=dtype)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
@@ -52,9 +55,13 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 class BlackBoxTensor:
     """Pointwise tensor access with caching and an evaluation counter.
 
-    fn maps an (batch, L) int index array to a (batch,) value array;
+    fn maps an (batch, L) int64 index array to a (batch,) value array;
     dims are the axis sizes in label-sorted order. evals counts unique
     indices ever evaluated, max_abs tracks the largest magnitude seen.
+
+    A cache key is the row cast to the smallest unsigned type holding
+    max(dims) - 1 (one byte per axis up to 256). fn sees only rows not
+    yet cached, each once, in order of first occurrence.
     """
 
     dims: tuple[int, ...]
@@ -62,6 +69,7 @@ class BlackBoxTensor:
     evals: int = 0
     max_abs: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
+    _key: np.dtype = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -69,6 +77,8 @@ class BlackBoxTensor:
             raise ParameterError("a black box needs at least one axis")
         if any(d < 1 for d in self.dims):
             raise ParameterError("axis dimensions must be >= 1")
+        # indices arrive as int64, so no key entry needs more than 64 bits
+        self._key = np.min_scalar_type(min(max(self.dims), 2 ** 63) - 1)
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
@@ -76,20 +86,20 @@ class BlackBoxTensor:
             raise ParameterError("index width does not match arity")
         if np.any(idx < 0) or np.any(idx >= np.array(self.dims)):
             raise ParameterError("index out of range")
-        uniq, first, inverse = np.unique(_row_keys(idx), return_index=True,
-                                         return_inverse=True)
-        keys = uniq.tolist()
+        keys = _row_keys(idx, self._key).tolist()
         vals = list(map(self._cache.get, keys))
-        missing = [i for i, v in enumerate(vals) if v is None]
-        if missing:
-            new_vals = np.asarray(self.fn(idx[first[missing]]), dtype=complex)
-            if new_vals.shape != (len(missing),):
+        new = list(dict.fromkeys(k for k, v in zip(keys, vals) if v is None))
+        if new:
+            rows = np.frombuffer(b"".join(new), self._key).astype(np.int64)
+            new_vals = np.asarray(self.fn(rows.reshape(len(new), -1)),
+                                  dtype=complex)
+            if new_vals.shape != (len(new),):
                 raise ParameterError("black box returned wrong batch shape")
-            for i, v in zip(missing, new_vals.tolist()):
-                self._cache[keys[i]] = vals[i] = v
-            self.evals += len(missing)
+            self._cache.update(zip(new, new_vals.tolist()))
+            self.evals += len(new)
             self.max_abs = max(self.max_abs, float(np.abs(new_vals).max()))
-        return np.array(vals, dtype=complex)[inverse]
+            vals = list(map(self._cache.get, keys))
+        return np.array(vals, dtype=complex)
 
     @classmethod
     def from_fourier(cls, evaluator) -> "BlackBoxTensor":
@@ -264,7 +274,7 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
         net = _assemble(f, state)
         return net, {"evals": f.evals, "residuals": [0.0],
                      "converged": True, "sweeps_run": 0,
-                     "pivots": state.snapshot()}
+                     "pivots": state.snapshot(), "bond_dims": {}}
 
     state = _PivotState(topo, dims_map)
     probe_set = _probe_indices(rng, f.dims, PROBES)

@@ -439,7 +439,8 @@ class TreeTensorNetwork:
     def evaluate(self, assignments: np.ndarray) -> np.ndarray:
         """Amplitudes at individual index assignments without dense
         contraction. assignments has shape (batch, L) with columns in
-        label-sorted order."""
+        label-sorted order. A node with bond legs only meets its first
+        child message in one tensordot (a GEMM), not per assignment."""
         assignments = np.atleast_2d(np.asarray(assignments, dtype=int))
         labels = self.labels()
         if assignments.shape[1] != len(labels):
@@ -473,9 +474,11 @@ class TreeTensorNetwork:
                 if contiguous and phys_pos[0] != 0:
                     t = np.moveaxis(t, phys_pos[0], 0)
                 legs = [x for x in legs if not self.edges[x].is_phys]
+            elif any(e in subs for e in legs):
+                i = next(i for i, e in enumerate(legs) if e in subs)
+                t = np.tensordot(subs.pop(legs.pop(i)), t, axes=(1, i))
             else:
                 t = np.broadcast_to(t, (assignments.shape[0],) + t.shape)
-                legs = list(legs)
             # t: (batch, remaining bond legs...) in `legs` order
             for e in list(legs):
                 if e not in subs:

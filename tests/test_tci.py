@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ttnprep.tci
 from ttnprep import (BlackBoxTensor, ParameterError, RankError, TreeTopology,
                      make_covariance, maxvol, tci_build)
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
@@ -69,6 +70,44 @@ def test_black_box_counts_unique_evaluations():
         np.testing.assert_array_equal(f(idx[::-1]), out[::-1])
         assert f.evals == 2  # fully cached now
         assert sum(calls) == 2
+
+
+@pytest.mark.parametrize("dims", [(256, 256), (257, 3), (2 ** 16 + 1, 2)])
+def test_black_box_keys_keep_high_index_bits(dims):
+    # first-axis indices that share their low byte (and low 16 bits)
+    first = sorted({0, 1, 255 % dims[0], 256 % dims[0], dims[0] - 1,
+                    (dims[0] - 1) & 0xFF, (dims[0] - 1) & 0xFFFF})
+    rows = np.array([(a, b) for a in first for b in (0, dims[1] - 1)])
+    rows = np.unique(rows, axis=0)
+    f = BlackBoxTensor(dims, lambda idx: idx[:, 0] + 1j * idx[:, 1])
+    np.testing.assert_array_equal(f(rows), rows[:, 0] + 1j * rows[:, 1])
+    assert f.evals == len(rows)
+    np.testing.assert_array_equal(f(rows[::-1]),
+                                  rows[::-1, 0] + 1j * rows[::-1, 1])
+    assert f.evals == len(rows)
+
+
+def test_black_box_mixed_call_evaluates_each_new_row_once():
+    seen = []
+
+    def fn(idx):
+        seen.append(idx.tolist())
+        return (10.0 * idx[:, 0] + idx[:, 1]) * (-1.0) ** idx[:, 0]
+
+    f = BlackBoxTensor((5, 5), fn)
+    f(np.array([[1, 1], [2, 2]]))
+    assert (f.evals, f.max_abs) == (2, 22.0)
+    # cached, new and repeated rows in one call
+    mixed = np.array([[3, 0], [1, 1], [4, 4], [3, 0], [2, 2], [0, 3], [4, 4]])
+    np.testing.assert_array_equal(
+        f(mixed), (10.0 * mixed[:, 0] + mixed[:, 1]) * (-1.0) ** mixed[:, 0])
+    assert seen == [[[1, 1], [2, 2]], [[3, 0], [4, 4], [0, 3]]]
+    assert (f.evals, f.max_abs) == (5, 44.0)
+
+
+def test_tci_solves_on_numpys_blas():
+    # numpy and scipy each load their own OpenBLAS; TCI stays on numpy's
+    assert ttnprep.tci.solve is np.linalg.solve
 
 
 def test_dedupe_against_drops_known_and_repeated_rows():
@@ -216,5 +255,12 @@ def test_single_node_topology_short_circuit():
     topo = TreeTopology.from_leaf_tree((), 1, 8)
     net, info = tci_build(f, topo, chi=4, seed=0)
     assert info["converged"] and info["sweeps_run"] == 0
+    assert info["bond_dims"] == {}
+    # the same keys as a build on a tree with bonds
+    f2 = BlackBoxTensor.from_fourier(FourierEvaluator(
+        GridSpec(2, 6, 20.0, 2), make_covariance("uniform", 2, rho=0.3)))
+    _, info2 = tci_build(f2, TreeTopology.from_leaf_tree([(0, 1)], 2, 4),
+                         chi=2, sweeps=1, seed=0)
+    assert info.keys() == info2.keys()
     np.testing.assert_allclose(net.contract_to_vector(),
                                dense_coeff_tensor(ev), atol=1e-12)

@@ -303,6 +303,34 @@ def test_evaluate_matches_contraction():
     np.testing.assert_allclose(net.evaluate(bits), v, atol=1e-12)
 
 
+@pytest.mark.parametrize("center", [0, 4, 5])
+def test_evaluate_through_bond_only_nodes(center):
+    # leaves 0..3 carry the physical legs; nodes 4 and 5 hold three bonds,
+    # and the evaluation walk is rooted at the center
+    topo = TreeTopology.from_leaf_tree(
+        [(0, 4), (1, 4), (4, 5), (2, 5), (3, 5)], 4, 3)
+    rng = np.random.default_rng(29)
+    dense = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+    net = from_dense(dense, topo).canonicalize(center)
+    assert [net.tensors[u].ndim for u in range(6)] == [2, 2, 2, 2, 3, 3]
+    every = np.stack(np.unravel_index(np.arange(81), (3,) * 4), axis=1)
+    np.testing.assert_allclose(net.evaluate(every), net.contract_to_vector(),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("center", [0, 1])
+def test_evaluate_bond_only_node_without_child_message(center):
+    # node 1 has one bond and no physical leg: rooted at 0 it sends a
+    # message without receiving one; rooted at 1 it receives one
+    rng = np.random.default_rng(31)
+    net = TreeTensorNetwork(
+        {0: rng.normal(size=(3, 2)), 1: rng.normal(size=(2,))},
+        {0: [0, 1], 1: [1]}, {0: Edge((0,), "x"), 1: Edge((0, 1))},
+        center=center)
+    np.testing.assert_allclose(net.evaluate(np.arange(3)[:, None]),
+                               net.contract_to_vector(), atol=1e-12)
+
+
 def test_attach_chain_matches_einsum_oracle():
     rng = np.random.default_rng(17)
     net = random_mps(2, 4, 3, rng)
