@@ -13,7 +13,8 @@ from .gaussian import (Bipartition, CovarianceMatrix, SchmidtSpectrum,
                        pair_spectrum, predict_ttn_fidelity, required_bond,
                        required_bond_profile)
 from .fourier import (FourierEvaluator, GridSpec, dense_coeff_tensor,
-                      exact_target, fsl_state, index_to_frequency,
+                      exact_target, fourier_ceiling, fsl_state,
+                      index_to_frequency,
                       inverse_dft_embedding_matrix)
 from .topology import (TreeTopology, canonical_leaf_tree,
                        caterpillar_leaf_tree, enumerate_leaf_trees,

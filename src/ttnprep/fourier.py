@@ -143,15 +143,22 @@ class FourierEvaluator:
 
 def _dense_quadratic(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_ij mat[i, j] v[b_i] v[b_j] at every grid point (b_1, ..., b_D),
-    D = len(mat), as a (len(v),)*D tensor; terms are added in (i, j)
-    order over broadcast axes."""
-    D = len(mat)
-    axes = [v.reshape((1,) * d + (-1,) + (1,) * (D - 1 - d)) for d in range(D)]
-    quad = np.zeros((len(v),) * D)
-    for i in range(D):
-        for j in range(D):
-            quad += mat[i, j] * axes[i] * axes[j]
-    return quad
+    D = len(mat), as a (len(v),)*D tensor, built one axis at a time.
+
+    With s_k = sum_{i<k} (mat[i, k] + mat[k, i]) v[b_i] on the first k
+    axes, q_k = q_{k-1} + v[b_k] (s_k + mat[k, k] v[b_k]): one matrix
+    product of the columns (q_{k-1}, s_k, 1) with the rows
+    (1, v, mat[k, k] v^2). Every step but the last works on arrays
+    len(v) times smaller than the result, which is written in one pass.
+    """
+    q = np.zeros(())
+    for k in range(len(mat)):
+        s = functools.reduce(np.add.outer, (mat[:k, k] + mat[k, :k])[:, None]
+                             * v, np.zeros(()))
+        cols = np.stack([q.ravel(), s.ravel(), np.ones(q.size)], axis=1)
+        rows = np.stack([np.ones_like(v), v, mat[k, k] * v * v])
+        q = (cols @ rows).reshape(q.shape + v.shape)
+    return q
 
 
 def dense_coeff_tensor(ev: FourierEvaluator) -> np.ndarray:
@@ -181,10 +188,13 @@ def exact_target(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     if cov.dim != D:
         raise ParameterError("covariance dim does not match grid dim")
     N = 1 << n
-    prec = np.linalg.inv(cov.matrix)
     x = (-a / 2.0 + a * np.arange(N) / N)
-    t = np.exp(-_dense_quadratic(prec, x) / 4.0)
-    return t / np.linalg.norm(t)
+    # the factor -1/4 is a power of two, so folding it into the precision
+    # matrix rounds nothing; exp and the scaling then run in place
+    t = _dense_quadratic(-0.25 * np.linalg.inv(cov.matrix), x)
+    np.exp(t, out=t)
+    t /= np.linalg.norm(t)
+    return t
 
 
 def inverse_dft_embedding_matrix(n: int, m: int) -> np.ndarray:
@@ -202,7 +212,9 @@ def inverse_dft_embedding_matrix(n: int, m: int) -> np.ndarray:
 def fsl_state(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     """The ideal state prepared from the truncated coefficients: dense
     coefficient tensor pushed through the inverse DFT embedding on every
-    axis. This is the fidelity ceiling any compressed circuit inherits."""
+    axis, as a complex (2^n,)*dim tensor. Its overlap with the target is
+    the fidelity ceiling any compressed circuit inherits; fourier_ceiling
+    takes that overlap without building this state."""
     if grid.qubits * grid.dim > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"dense embedded state above the {MAX_DENSE_QUBITS}-qubit guard")
@@ -211,3 +223,33 @@ def fsl_state(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     for d in range(grid.dim):
         t = np.moveaxis(np.tensordot(W, t, axes=(1, d)), 0, d)
     return t
+
+
+def fourier_ceiling(grid: GridSpec, cov: CovarianceMatrix,
+                    target: np.ndarray) -> float:
+    """|<fsl_state|target>|^2 for a real target on the full grid, taken in
+    coefficient space.
+
+    With fsl_state = W^{(x)dim} c, the overlap is <c|(W^dagger)^{(x)dim} t>:
+    the target is projected onto the kept frequencies one axis at a time
+    and meets c in one vdot. The last axis goes first, as one real
+    product of the (2^{n(dim-1)}, 2^n) target with the 2^n x 2^{m+1}
+    matrix whose columns interleave Re W and -Im W; read as complex, its
+    output is the projection, so nothing register-size is complex. The
+    other axes follow first to last, each shrinking the remainder by
+    2^{m-n}.
+    """
+    n, m, D = grid.qubits, grid.fourier_qubits, grid.dim
+    if n * D > MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"dense target above the {MAX_DENSE_QUBITS}-qubit guard")
+    N, M = 1 << n, 1 << m
+    W = inverse_dft_embedding_matrix(n, m)
+    pairs = np.stack([W.real, -W.imag], axis=-1).reshape(N, -1)
+    y = (np.reshape(target, (-1, N)) @ pairs).view(complex)
+    for d in range(D - 1):
+        # axis d is the first one still on the grid: (M^d, N, rest), so
+        # the largest step is one product with no batch
+        y = np.matmul(W.conj().T, y.reshape(M ** d, N, -1))
+    c = dense_coeff_tensor(FourierEvaluator(grid, cov))
+    return float(abs(np.vdot(c.ravel(), y.ravel())) ** 2)

@@ -10,7 +10,7 @@ lets a ledger-versus-simulation gap be pinned on the stage that owes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -19,7 +19,9 @@ from .circuit import (TRUNC_TOL, QuantumCircuit, build_qft_ttn,
                       synthesize, with_inverse_dft)
 from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
                      ParameterError, ShapeError)
-from .fourier import FourierEvaluator, GridSpec, exact_target, fsl_state
+# not called here: bench/spans.py traces ttnprep.sim.fsl_state
+from .fourier import fsl_state  # noqa: F401
+from .fourier import FourierEvaluator, GridSpec, exact_target, fourier_ceiling
 from .gaussian import CovarianceMatrix
 # not called here: bench/spans.py traces ttnprep.sim.optimize_structure
 from .structopt import covariance_tree, optimize_structure  # noqa: F401
@@ -30,6 +32,8 @@ from .topology import (TreeTopology, canonical_leaf_tree,
 
 NORM_DRIFT_TOL = 1e-10
 OVERLAP_BLOCK = 1 << 12
+FUSE_WIDTH = 8   # most wires one fused run of placements may span
+PIECE_QUBITS = 16   # a StateVector meets a vector in pieces of 2^16
 GAP_TOL = 1e-2   # ledger-versus-simulation gap that verification flags
 
 MODES = ("qft-ttn", "qft-gates")
@@ -40,14 +44,94 @@ STRUCTURE_POLICIES = ("fixed", "auto-optimize", "exhaustive-optimal",
 SCAN_ENDS = {"exhaustive-optimal": 0, "fixed-worst": -1}
 
 
-@dataclass(eq=False)
 class StateVector:
-    qubits: int
-    amplitudes: np.ndarray
+    """A state on `qubits` wires, held as a block over some of them.
+
+    `block` has one axis per wire in `wires`; every other wire is |0>.
+    StateVector(qubits, amplitudes) wraps a register-order vector (wire
+    0 most significant) as a block over every wire. The register-order
+    vector of a partial block is built when `amplitudes` is first read.
+    """
+
+    def __init__(self, qubits: int, amplitudes, wires=None):
+        self.qubits = qubits
+        self.wires = tuple(range(qubits) if wires is None else wires)
+        self.block = np.asarray(amplitudes).reshape((2,) * len(self.wires))
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The register-order vector, built from the block on first read."""
+        if self.wires == tuple(range(self.qubits)):
+            return self.block.ravel()
+        full = np.zeros((2,) * self.qubits, dtype=self.block.dtype)
+        full[self._written()] = self.block.transpose(np.argsort(self.wires))
+        return full.ravel()
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.block))
+
+    def _written(self) -> tuple:
+        """Index of the register entries where every unwritten wire is 0."""
+        return tuple(slice(None) if w in self.wires else 0
+                     for w in range(self.qubits))
+
+    def pieces(self, x):
+        """Pairs of flat vectors that together cover the block: a piece of
+        the block and the entries of x, a register-order vector, that
+        meet it (those where every unwritten wire is 0, in the block's
+        wire order). The pieces split the block's leading axes, so each
+        piece of x is a copy of at most 2^PIECE_QUBITS entries, or a
+        view where the block is in register order."""
+        x = np.asarray(x)
+        if x.size != 1 << self.qubits:
+            raise ShapeError(f"{x.size} amplitudes for {self.qubits} qubits")
+        part = x.reshape((2,) * self.qubits)[self._written()].transpose(
+            np.argsort(np.argsort(self.wires)))
+        for idx in np.ndindex((2,) * max(len(self.wires) - PIECE_QUBITS, 0)):
+            yield self.block[idx].ravel(), part[idx].ravel()
+
+
+def _place(psi, wires: list, plc):
+    """One placement on a block with one axis per wire in `wires` and
+    trailing axes it leaves alone; returns the new block and wires.
+
+    An input wire nothing has written yet is padded with a zero half, a
+    written wire the placement treats as fresh is read at 0 (whatever
+    it held elsewhere is lost norm), and the input axes move to the
+    front for one matrix product, whose axes are then the targets
+    followed by the untouched wires.
+    """
+    p = plc.in_qubits
+    ins = plc.targets[:p]
+    for w in plc.targets[p:]:
+        if w in wires:
+            psi = psi[(slice(None),) * wires.index(w) + (0,)]
+            wires = [v for v in wires if v != w]
+    new = [w for w in ins if w not in wires]
+    if new:
+        padded = np.zeros((2,) * len(new) + psi.shape, dtype=complex)
+        padded[(0,) * len(new)] = psi
+        psi, wires = padded, new + wires
+    t = np.moveaxis(psi, [wires.index(w) for w in ins], range(p))
+    shape = t.shape[p:]
+    psi = (plc.matrix @ t.reshape(1 << p, -1)).reshape(
+        (2,) * len(plc.targets) + shape)
+    return psi, list(plc.targets) + [w for w in wires if w not in ins]
+
+
+def _runs(placements):
+    """Consecutive placements whose targets together span at most
+    FUSE_WIDTH wires; a wider placement is a run of its own."""
+    run, span = [], set()
+    for plc in placements:
+        if run and len(span | set(plc.targets)) > FUSE_WIDTH:
+            yield run
+            run, span = [], set()
+        run.append(plc)
+        span |= set(plc.targets)
+    if run:
+        yield run
 
 
 def simulate(circ: QuantumCircuit) -> StateVector:
@@ -58,13 +142,15 @@ def simulate(circ: QuantumCircuit) -> StateVector:
     rewrites all its targets.  Fresh target wires have to be cleared;
     leaked amplitude shows up as norm loss and is rejected.
 
-    The amplitudes live in a block over the written wires only, one axis
-    per wire in the order of `wires`; every other wire holds |0>, so the
-    block has the state's norm. A placement pads each input wire nothing
-    has written yet with a zero half, reads a written wire it treats as
-    fresh at 0, moves its input axes to the front and applies one matrix
-    product, whose axes are then its targets followed by the untouched
-    wires. The block is written into the full register once, at the end.
+    The amplitudes live in a block over the written wires only; every
+    other wire holds |0>, so the block has the state's norm. Consecutive
+    placements that span at most FUSE_WIDTH wires act as one map: each
+    runs, as _place, on an identity over the written wires the run
+    reads, with one column axis, so padding and fresh-wire reads keep
+    their meaning. The block then moves those wires to the front once
+    and meets the map in one matrix product, and its norm is checked.
+    Returns the block and its wire order; the register-order vector is
+    built only if `amplitudes` is read.
     """
     Q = circ.qubits
     if Q > MAX_DENSE_QUBITS:
@@ -73,41 +159,38 @@ def simulate(circ: QuantumCircuit) -> StateVector:
     circ.validate()
     psi = np.ones((), dtype=complex)
     wires: list = []
-    for plc in circ.placements:
-        p = plc.in_qubits
-        ins = plc.targets[:p]
-        for w in plc.targets[p:]:
-            if w in wires:
-                # read at |0>: whatever it held elsewhere is lost norm
-                psi = psi[(slice(None),) * wires.index(w) + (0,)]
-                wires.remove(w)
-        new = [w for w in ins if w not in wires]
-        if new:
-            padded = np.zeros((2,) * len(new) + psi.shape, dtype=complex)
-            padded[(0,) * len(new)] = psi
-            psi, wires = padded, new + wires
-        rest = [w for w in wires if w not in ins]
-        t = np.moveaxis(psi, [wires.index(w) for w in ins], range(p))
-        shape = t.shape[p:]
-        t = t.reshape(1 << p, -1)
+    for run in _runs(circ.placements):
+        span = {w for plc in run for w in plc.targets}
+        reads = [w for w in wires if w in span]
+        fused = np.eye(1 << len(reads), dtype=complex).reshape(
+            (2,) * len(reads) + (-1,))
+        outs = reads
+        for plc in run:
+            fused, outs = _place(fused, outs, plc)
+        rest = [w for w in wires if w not in reads]
+        t = np.moveaxis(psi, [wires.index(w) for w in reads],
+                        range(len(reads)))
+        shape = t.shape[len(reads):]
+        t = t.reshape(1 << len(reads), -1)
         # keep at most two blocks alive: the moved copy and the product
         del psi
-        psi = (plc.matrix @ t).reshape((2,) * len(plc.targets) + shape)
+        psi = (fused.reshape(-1, t.shape[0]) @ t).reshape(
+            (2,) * len(outs) + shape)
         del t
-        wires = list(plc.targets) + rest
-        drift = abs(np.linalg.norm(psi) - 1.0)
+        wires = outs + rest
+        # one pass over the block, where np.linalg.norm reads it twice
+        drift = abs(np.sqrt(np.vdot(psi, psi).real) - 1.0)
         if drift > NORM_DRIFT_TOL:
             raise CircuitValidityError(
-                f"norm drifted by {drift:.3e} after a placement on "
-                f"{plc.targets}; a fresh target wire was not cleared")
-    full = np.zeros((2,) * Q, dtype=complex)
-    full[tuple(slice(None) if w in wires else 0 for w in range(Q))] = \
-        psi.transpose(np.argsort(wires))
-    return StateVector(Q, full.ravel())
+                f"norm drifted by {drift:.3e} after placements on "
+                f"{[plc.targets for plc in run]}; a fresh target wire was "
+                "not cleared")
+    return StateVector(Q, psi, wires)
 
 
-def fidelity(u, v) -> float:
-    """|<u|v>|^2 for unit vectors, statevectors, or flattened tensors.
+def _overlap(u: np.ndarray, v: np.ndarray) -> complex:
+    """<u|v> of two flat vectors, conjugated when only u is complex, so
+    a sum over calls with the same dtypes keeps the overlap's modulus.
 
     When one side is real, the complex side is read as (re, im) pairs
     and the real side meets both in one pass: np.vdot would first cast
@@ -115,21 +198,35 @@ def fidelity(u, v) -> float:
     runs in blocks of OVERLAP_BLOCK whose partial sums are added last,
     which keeps the rounding error below that of one long dot product.
     """
-    ua = u.amplitudes if isinstance(u, StateVector) else np.asarray(u)
-    va = v.amplitudes if isinstance(v, StateVector) else np.asarray(v)
-    ua, va = ua.ravel(), va.ravel()
-    if ua.shape != va.shape:
-        raise ShapeError(f"dimension mismatch {ua.shape} vs {va.shape}")
-    if np.iscomplexobj(ua) == np.iscomplexobj(va):
-        return float(abs(np.vdot(ua, va)) ** 2)
-    z, x = (ua, va) if np.iscomplexobj(ua) else (va, ua)
+    if u.shape != v.shape:
+        raise ShapeError(f"dimension mismatch {u.shape} vs {v.shape}")
+    if np.iscomplexobj(u) == np.iscomplexobj(v):
+        return complex(np.vdot(u, v))
+    z, x = (u, v) if np.iscomplexobj(u) else (v, u)
     pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
     x = np.asarray(x, dtype=float)
     cut = x.size - x.size % OVERLAP_BLOCK
     parts = np.matmul(x[:cut].reshape(-1, 1, OVERLAP_BLOCK),
                       pairs[:cut].reshape(-1, OVERLAP_BLOCK, 2))
     re, im = parts.sum(axis=(0, 1)) + x[cut:] @ pairs[cut:]
-    return float(re * re + im * im)
+    return complex(re, im)
+
+
+def fidelity(u, v) -> float:
+    """|<u|v>|^2 for unit vectors, statevectors, or flattened tensors.
+
+    A StateVector is read on its block, piece by piece (see its
+    `pieces`): only the other side's entries where every unwritten wire
+    is 0 meet it, so the block is never expanded to the register.
+    """
+    if isinstance(v, StateVector):
+        u, v = v, u   # |<u|v>| = |<v|u>|
+    if isinstance(u, StateVector):
+        v = v.amplitudes if isinstance(v, StateVector) else v
+        total = sum(_overlap(a, b) for a, b in u.pieces(v))
+    else:
+        total = _overlap(np.ravel(u), np.ravel(v))
+    return float(abs(total) ** 2)
 
 
 # -- pipeline orchestration --------------------------------------------------
@@ -293,14 +390,15 @@ def reference(grid: GridSpec, cov: CovarianceMatrix
               ) -> tuple[np.ndarray, float]:
     """What every circuit for this covariance is checked against: the
     flattened exact target and the Fourier ceiling, the fidelity of the
-    untruncated coefficient state with it. Both are dense, so the grid
-    must fit the dense cap."""
+    untruncated coefficient state with it. The ceiling is taken in
+    coefficient space (fourier_ceiling), so the only register-size array
+    is the real target; the grid must fit the dense cap."""
     if grid.dim * grid.n > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"{grid.dim * grid.n} qubits exceeds the dense cap "
             f"{MAX_DENSE_QUBITS}")
     target = exact_target(grid, cov).ravel()
-    return target, fidelity(fsl_state(grid, cov).ravel(), target)
+    return target, fourier_ceiling(grid, cov, target)
 
 
 def verify_circuit(circ: QuantumCircuit, record: dict,

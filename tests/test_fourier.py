@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ttnprep import CapacityError, CovarianceMatrix, ParameterError, make_covariance
-from ttnprep.fourier import (FourierEvaluator, GridSpec, dense_coeff_tensor,
-                             exact_target, fsl_state, index_to_frequency,
+from ttnprep.fourier import (FourierEvaluator, GridSpec, _dense_quadratic,
+                             dense_coeff_tensor, exact_target, fourier_ceiling,
+                             fsl_state, index_to_frequency,
                              inverse_dft_embedding_matrix)
+from ttnprep.sim import fidelity
 
 UNIT = CovarianceMatrix(np.array([[1.0]]))
 
@@ -180,6 +182,21 @@ def test_exact_target_diagonal_outer_product():
     np.testing.assert_allclose(t, np.outer(tx, ty), atol=1e-12)
 
 
+def test_dense_quadratic_matches_definition():
+    # built one axis at a time; the definition sums every (i, j) term,
+    # so an asymmetric matrix checks that both triangles count
+    rng = np.random.default_rng(0)
+    mat = rng.normal(size=(3, 3))
+    v = rng.normal(size=5)
+    b = np.indices((5,) * 3).reshape(3, -1).T   # grid points, row-major
+    want = np.einsum("ij,ai,aj->a", mat, v[b], v[b])
+    got = _dense_quadratic(mat, v)
+    assert got.shape == (5, 5, 5)
+    np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_dense_quadratic(mat[:1, :1], v),
+                               mat[0, 0] * v * v, rtol=0, atol=1e-15)
+
+
 def test_exact_target_capacity_guard():
     with pytest.raises(CapacityError):
         exact_target(GridSpec(4, 7, 20.0, 4), make_covariance("uniform", 4, rho=0.1))
@@ -220,3 +237,25 @@ def test_fsl_state_two_dim_fidelity():
     fid = abs(np.vdot(psi, t.ravel())) ** 2
     assert fid >= 1 - 1e-3
     np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim,n,m", [(1, 6, 6), (1, 6, 3), (2, 5, 3),
+                                     (3, 4, 2)])
+def test_fourier_ceiling_matches_fsl_state(dim, n, m):
+    # the overlap taken in coefficient space equals the one against the
+    # dense embedded state, with m = n and m < n
+    cov = (make_covariance("random", dim, sigma_max=0.3, seed=dim)
+           if dim > 1 else CovarianceMatrix(np.array([[1.3]])))
+    grid = GridSpec(dim, n, 20.0, m)
+    target = exact_target(grid, cov).ravel()
+    want = fidelity(fsl_state(grid, cov).ravel(), target)
+    assert fourier_ceiling(grid, cov, target) == pytest.approx(want,
+                                                               rel=1e-12)
+    assert 0.4 < want <= 1.0 + 1e-12
+
+
+def test_fourier_ceiling_capacity_guard():
+    grid = GridSpec(4, 7, 20.0, 4)
+    with pytest.raises(CapacityError):
+        fourier_ceiling(grid, make_covariance("uniform", 4, rho=0.1),
+                        np.zeros(1))

@@ -155,10 +155,11 @@ def _count_calls(monkeypatch, *names):
 
 def test_policy_study_scans_once_per_covariance(monkeypatch):
     calls = _count_calls(monkeypatch, "tci_build", "exact_target",
-                         "fsl_state")
+                         "fourier_ceiling")
     rows, summary = policy_study([0])
     # fixed, auto-optimize and the three 4-leaf trees of one scan
-    assert calls == {"tci_build": 5, "exact_target": 1, "fsl_state": 1}
+    assert calls == {"tci_build": 5, "exact_target": 1,
+                     "fourier_ceiling": 1}
     assert [r["structure"] for r in rows] == [
         "fixed", "auto-optimize", "exhaustive-optimal", "fixed-worst"]
     assert rows[2]["ledger_fidelity"] >= rows[3]["ledger_fidelity"]
@@ -166,7 +167,7 @@ def test_policy_study_scans_once_per_covariance(monkeypatch):
 
 
 def test_fidelity_study_one_reference_per_covariance(monkeypatch):
-    calls = _count_calls(monkeypatch, "exact_target", "fsl_state")
+    calls = _count_calls(monkeypatch, "exact_target", "fourier_ceiling")
     rows, _ = fidelity_study((2, 4, 8), [0])
     assert len(rows) == 3
-    assert calls == {"exact_target": 1, "fsl_state": 1}
+    assert calls == {"exact_target": 1, "fourier_ceiling": 1}

@@ -13,6 +13,7 @@ from ttnprep import (CapacityError, CircuitValidityError, CovarianceMatrix,
                      verify_pipeline)
 from ttnprep.fourier import FourierEvaluator, GridSpec, exact_target
 from ttnprep.scaling import _shuffled_caterpillar
+import ttnprep.sim as simmod
 from ttnprep.sim import STRUCTURE_POLICIES, StateVector
 from ttnprep.topology import TreeTopology, caterpillar_leaf_tree
 from ttnprep.ttn import random_mps
@@ -185,6 +186,107 @@ def test_simulate_peak_memory_two_state_sizes():
         tracemalloc.stop()
     assert psi.amplitudes.nbytes == state
     assert peak <= 2 * state + (1 << 20)
+
+
+# a root on wires 0 and 7, then two branches, 0..6 and 7..13, whose steps
+# alternate, so a run of FUSE_WIDTH = 8 wires ends inside both branches
+TWO_BRANCHES = (14, [((0, 7), 0), ((0, 1, 2), 1), ((7, 8, 9), 1),
+                     ((2, 3, 4), 1), ((9, 10, 11), 1), ((4, 5, 6), 1),
+                     ((11, 12, 13), 1), ((1, 2), 2), ((12, 13), 2)])
+
+
+def _run_lengths(circ):
+    return [len(run) for run in simmod._runs(circ.placements)]
+
+
+def test_simulate_fuses_across_a_branch():
+    qubits, layout = TWO_BRANCHES
+    for seed in range(3):
+        circ = _circuit(qubits, layout, np.random.default_rng(seed))
+        assert _run_lengths(circ) == [4, 3, 2]
+        np.testing.assert_allclose(simulate(circ).amplitudes,
+                                   _reference_simulate(circ), rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_simulate_matches_dense_reference_at_any_fusion_width(
+        width, monkeypatch):
+    # narrow runs put run boundaries everywhere in the layouts above
+    monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
+    rng = np.random.default_rng(width)
+    for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
+        circ = _circuit(qubits, layout, rng)
+        np.testing.assert_allclose(simulate(circ).amplitudes,
+                                   _reference_simulate(circ), rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("width,runs", [(8, [2]), (1, [1, 1])])
+def test_dirty_fresh_wire_rejected_inside_and_across_runs(
+        width, runs, monkeypatch):
+    # wire 0 holds amplitude when the second placement claims it as fresh,
+    # with both placements in one run and in two
+    monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
+    h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+    from ttnprep.circuit import CostReport
+    circ = QuantumCircuit(
+        2, [Placement((0,), 0, h, "prep"), Placement((1, 0), 0,
+            np.array([[1.0], [0.0], [0.0], [0.0]]), "prep")],
+        (0, 1), CostReport(6, 6, 0, []))
+    assert _run_lengths(circ) == runs
+    with pytest.raises(CircuitValidityError):
+        simulate(circ)
+
+
+@pytest.mark.parametrize("pieces", [16, 2])
+def test_fidelity_on_the_block_equals_register_order(pieces, monkeypatch):
+    # wires 0 and 5 are never written; small pieces split the block
+    monkeypatch.setattr(simmod, "PIECE_QUBITS", pieces)
+    qubits, layout = WIRE_LAYOUTS["unwritten-inputs"]
+    rng = np.random.default_rng(5)
+    circ = _circuit(qubits, layout, rng)
+    sv = simulate(circ)
+    assert len(sv.wires) < qubits
+    x = rng.normal(size=1 << qubits)
+    for v in (x / np.linalg.norm(x), sv.amplitudes[::-1].copy()):
+        want = fidelity(sv.amplitudes, v)
+        assert abs(fidelity(sv, v) - want) <= 1e-14
+        assert abs(fidelity(v, sv) - want) <= 1e-14
+    assert abs(fidelity(sv, sv) - 1.0) <= 1e-14
+
+
+def test_state_norm_reads_the_block():
+    # half the wires of a 20-qubit register written: the norm neither
+    # builds the register-order vector nor copies the block
+    rng = np.random.default_rng(1)
+    layout = [((0,), 0)] + [((k, k + 1), 1) for k in range(9)]
+    sv = simulate(_circuit(20, layout, rng))
+    tracemalloc.start()
+    try:
+        norm = sv.norm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "amplitudes" not in vars(sv)
+    assert peak < sv.block.nbytes
+    assert norm == pytest.approx(np.linalg.norm(sv.amplitudes), abs=1e-14)
+
+
+def test_reference_peak_memory():
+    # the dense target is the one register-size array: a complex one of
+    # that size would double it
+    grid = GridSpec(4, 5, 20.0, 3)
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
+    tracemalloc.start()
+    try:
+        target, ceiling = reference(grid, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.nbytes == 8 << 20
+    assert 0.9 < ceiling <= 1.0
+    assert peak <= 2.5 * target.nbytes
 
 
 def test_fidelity_basics():
