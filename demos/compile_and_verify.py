@@ -47,7 +47,7 @@ def main():
         print(f"  cut {bond}: {r}")
 
     rec = verify_pipeline(cov, grid, args.chi, "qft-gates", seed=args.seed)
-    print(f"\ninterpolation: {rec['tci_evals']} black-box calls, "
+    print(f"\ninterpolation: {rec['tci_evals']} coefficient entries computed, "
           f"residual {rec['tci_residual']:.2e}")
     print(f"circuit: {rec['qubits']} qubits, {rec['cnot_count']} prep CNOTs "
           f"+ {rec['qft_cnots']} QFT CNOTs, depth {rec['depth']}")

@@ -192,7 +192,8 @@ def cmd_build(cfg: RunConfig) -> int:
     net.save(out / "network.ttn")
     _write_json(out / "build.json", rec)
     print(f"build: residual {rec['residual']:.3e} "
-          f"({rec['evals']} evaluations) -> {out / 'network.ttn'}")
+          f"({rec['evals']} coefficient entries computed) -> "
+          f"{out / 'network.ttn'}")
     return EXIT_OK
 
 

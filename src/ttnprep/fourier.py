@@ -96,6 +96,9 @@ class FourierEvaluator:
         self.grid = grid
         self.cov = cov
         self._c = (2.0 * math.pi / grid.box) ** 2
+        self._form = -2.0 * self._c * cov.matrix  # eval_block's Gram form
+        self._freq = index_to_frequency(np.arange(grid.M), grid.M).astype(
+            float)
         self.normalized = grid.fourier_qubits * grid.dim <= MAX_DENSE_QUBITS
         self.norm = self._exact_norm() if self.normalized else 1.0
 
@@ -139,6 +142,46 @@ class FourierEvaluator:
         """Coefficients at stored indices s in [0, M)^dim (batched)."""
         s = np.asarray(s, dtype=int)
         return self.coeff(index_to_frequency(s, self.grid.M))
+
+    def eval_block(self, parts) -> np.ndarray:
+        """Coefficients over the Cartesian product of (axes, stored-index
+        rows) parts that cover every axis once, flat and row-major over
+        the parts; the caller checks cover and range.
+
+        As in _exact_norm the exponent splits over the parts. With every
+        part's frequencies stacked on their own axes, one Gram product
+        h = k (-2c S) k^T holds twice each part's own form on its diagonal
+        and each pair's cross term in an off-diagonal block; the block
+        broadcasts those together and takes one exp. M is even, so the
+        sign is the parity of the frequencies.
+        """
+        n = len(parts)
+        sizes = [len(rows) for _, rows in parts]
+        k = np.zeros((sum(sizes), self.grid.dim))
+        lo = 0
+        for (cols, rows), size in zip(parts, sizes):
+            k[lo:lo + size, cols] = self._freq[rows]
+            lo += size
+        h = k @ (self._form @ k.T)
+        own = 0.5 * h.diagonal()
+        parity = 1.0 - 2.0 * np.mod(k.sum(1), 2.0)
+        expo, sign = 0.0, 1.0 / self.norm
+        lo = 0
+        for p, size in enumerate(sizes):
+            at = [1] * n
+            at[p] = size
+            expo = expo + own[lo:lo + size].reshape(at)
+            sign = sign * parity[lo:lo + size].reshape(at)
+            qlo = lo + size
+            for q in range(p + 1, n):
+                at_q = list(at)
+                at_q[q] = sizes[q]
+                expo = expo + h[lo:lo + size, qlo:qlo + sizes[q]].reshape(at_q)
+                qlo += sizes[q]
+            lo += size
+        expo = np.exp(expo)
+        expo *= sign
+        return expo.ravel()
 
 
 def _dense_quadratic(mat: np.ndarray, v: np.ndarray) -> np.ndarray:

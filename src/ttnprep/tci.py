@@ -16,7 +16,9 @@ pivot state with the best probe residual is the one returned, so the
 reported per-sweep residual history is nonincreasing.
 
 Evaluation cost per bond visit is O(M chi^2) black-box entries (M = leg
-dimension), all deduplicated through the evaluation cache.
+dimension). Every call but the probe set asks for a Cartesian product
+of pivot lists through BlackBoxTensor.block, which a Gaussian
+coefficient box answers in product form without keying any row.
 """
 
 from __future__ import annotations
@@ -56,12 +58,18 @@ class BlackBoxTensor:
     """Pointwise tensor access with caching and an evaluation counter.
 
     fn maps an (batch, L) int64 index array to a (batch,) value array;
-    dims are the axis sizes in label-sorted order. evals counts unique
-    indices ever evaluated, max_abs tracks the largest magnitude seen.
+    dims are the axis sizes in label-sorted order. max_abs tracks the
+    largest magnitude seen. evals counts the entries fn computed (each
+    unique row once) plus, for a box from_fourier, every entry of every
+    block, since those are computed afresh and never cached.
 
     A cache key is the row cast to the smallest unsigned type holding
     max(dims) - 1 (one byte per axis up to 256). fn sees only rows not
     yet cached, each once, in order of first occurrence.
+
+    block(parts) evaluates a Cartesian product of (columns, rows) parts.
+    A generic box answers it through the cache; a box from_fourier in
+    product form (FourierEvaluator.eval_block).
     """
 
     dims: tuple[int, ...]
@@ -70,6 +78,8 @@ class BlackBoxTensor:
     max_abs: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
     _key: np.dtype = field(init=False, repr=False)
+    _upper: np.ndarray = field(init=False, repr=False)
+    _product: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -79,12 +89,15 @@ class BlackBoxTensor:
             raise ParameterError("axis dimensions must be >= 1")
         # indices arrive as int64, so no key entry needs more than 64 bits
         self._key = np.min_scalar_type(min(max(self.dims), 2 ** 63) - 1)
+        self._upper = np.array([min(d, 2 ** 64 - 1) for d in self.dims],
+                               dtype=np.uint64)
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
         if idx.shape[1] != len(self.dims):
             raise ParameterError("index width does not match arity")
-        if np.any(idx < 0) or np.any(idx >= np.array(self.dims)):
+        # negative indices wrap to the top of the unsigned range
+        if np.any(idx.view(np.uint64) >= self._upper):
             raise ParameterError("index out of range")
         keys = _row_keys(idx, self._key).tolist()
         vals = list(map(self._cache.get, keys))
@@ -101,11 +114,36 @@ class BlackBoxTensor:
             vals = list(map(self._cache.get, keys))
         return np.array(vals, dtype=complex)
 
+    def block(self, parts) -> np.ndarray:
+        """f over the Cartesian product of (columns, rows) parts, flat and
+        row-major over the parts: rows is an int64 (count, len(columns))
+        array, and the columns of all parts cover every axis once."""
+        cols = [i for c, _ in parts for i in np.asarray(c).tolist()]
+        if len(cols) != len(self.dims) or set(cols) != set(range(len(cols))):
+            raise ParameterError("block parts must cover every axis once")
+        for c, rows in parts:
+            if rows.dtype != np.int64 or rows.shape[1:] != (len(c),):
+                raise ParameterError("part rows must be int64, one column "
+                                     "per part column")
+            if (rows.view(np.uint64) >= self._upper[c]).any():
+                raise ParameterError("index out of range")
+        if self._product is None:
+            total = math.prod(len(rows) for _, rows in parts)
+            return self(_pick_rows(parts, np.arange(total),
+                                   np.arange(len(cols))))
+        vals = self._product(parts)
+        if vals.size:
+            self.evals += vals.size
+            self.max_abs = max(self.max_abs, float(np.abs(vals).max()))
+        return vals.astype(complex)
+
     @classmethod
     def from_fourier(cls, evaluator) -> "BlackBoxTensor":
         grid = evaluator.grid
-        return cls(dims=(grid.M,) * grid.dim,
-                   fn=lambda idx: evaluator.eval_indices(idx))
+        box = cls(dims=(grid.M,) * grid.dim,
+                  fn=lambda idx: evaluator.eval_indices(idx))
+        box._product = evaluator.eval_block
+        return box
 
 
 def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
@@ -224,26 +262,13 @@ class _PivotState:
         return {k: v.copy() for k, v in self.pivots.items()}
 
 
-def _product_rows(parts, L: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Cartesian product of pivot blocks into full (rows, L) index arrays;
-    row-major over the parts, so a reshape to the part sizes is aligned."""
-    sizes = tuple(len(p) for _, p in parts)
-    total = int(np.prod(sizes)) if sizes else 1
-    rows = np.zeros((total, L), dtype=np.int64)
-    if sizes:
-        grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-        for (cols, piv), g in zip(parts, grids):
-            rows[:, cols] = piv[g.ravel()]
-    return rows, sizes
-
-
-def _merge(rows_a: np.ndarray, cols_a, rows_b: np.ndarray, cols_b,
-           L: int) -> np.ndarray:
-    """All pairings of rows_a (on cols_a) with rows_b (on cols_b)."""
-    na, nb = len(rows_a), len(rows_b)
-    out = np.zeros((na * nb, L), dtype=np.int64)
-    out[:, cols_a] = np.repeat(rows_a, nb, axis=0)
-    out[:, cols_b] = np.tile(rows_b, (na, 1))
+def _pick_rows(parts, picks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows `picks` of the row-major Cartesian product of (columns, rows)
+    parts, as index rows over cols: the sorted union of their columns."""
+    sizes = [len(rows) for _, rows in parts]
+    out = np.empty((len(picks), len(cols)), dtype=np.int64)
+    for (c, rows), at in zip(parts, np.unravel_index(picks, sizes)):
+        out[:, np.searchsorted(cols, c)] = rows[at]
     return out
 
 
@@ -254,7 +279,7 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     ranks grown adaptively up to chi.
 
     Returns the assembled network (exact on all pivot crosses, not yet
-    canonical) and an info dict with the unique-evaluation count, the
+    canonical) and an info dict with the evaluation count (f.evals), the
     per-sweep best probe residuals, and the final pivots.
     """
     if chi < 1:
@@ -265,7 +290,6 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     dims_map = topo.leaf_dims()
     if tuple(dims_map[lab] for lab in labels) != tuple(f.dims):
         raise ParameterError("topology leaf dims do not match the black box")
-    L = len(labels)
     rng = np.random.default_rng(seed)
 
     if not topo.bonds:
@@ -313,17 +337,16 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
                  chi: int, rng: np.random.Generator) -> None:
     """Re-select the u-side pivots of `bond` by maxvol over the candidate
     product of u's other legs, then try residual-guided rank growth."""
-    L = len(state.labels)
     cols_u = state.side_cols[(bond, u)]
     cols_v = state.side_cols[(bond, v)]
     parts = state.far_parts(u, skip=("bond", bond))
-    cand, _ = _product_rows(parts, L)
-    cand_u = cand[:, cols_u]  # u-side portion of each candidate
+    n = math.prod(len(rows) for _, rows in parts)  # candidate u-side rows
     piv_v = state.pivots[(bond, v)]
     r = len(piv_v)
+    b = f.block(parts + [(cols_v, piv_v)]).reshape(n, r)
 
-    full = _merge(cand_u, cols_u, piv_v, cols_v, L)
-    b = f(full).reshape(len(cand_u), r)
+    def pick(rows):
+        return _pick_rows(parts, rows, cols_u)
 
     # rank reveal: shrink the pair if the candidate block cannot support r
     sv = np.linalg.svd(b, compute_uv=False) if min(b.shape) else np.array([])
@@ -332,33 +355,31 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
     if rank == 0:
         # degenerate block: keep a single best-magnitude pivot
         i = int(np.argmax(np.abs(b[:, 0]))) if b.size else 0
-        state.pivots[(bond, u)] = cand_u[i:i + 1]
+        state.pivots[(bond, u)] = pick([i])
         state.pivots[(bond, v)] = piv_v[:1]
         return
     if rank < r:
         uu, ss, vh = np.linalg.svd(b, full_matrices=False)
         rows = maxvol(uu[:, :rank])
         colsel = maxvol(vh[:rank].conj().T)
-        state.pivots[(bond, u)] = cand_u[rows]
+        state.pivots[(bond, u)] = pick(rows)
         state.pivots[(bond, v)] = piv_v[colsel]
-        piv_v = state.pivots[(bond, v)]
         b = b[:, colsel]
         r = rank
     else:
         rows = maxvol(np.linalg.qr(b)[0])
-        state.pivots[(bond, u)] = cand_u[rows]
+        state.pivots[(bond, u)] = pick(rows)
 
     # growth: sample far-side extension columns, add the worst-interpolated
     # (row, column) pair while the residual stays above tolerance
     budget = max(2, chi // 4)
-    while r < chi and r < len(cand_u) and budget > 0:
+    while r < chi and r < n and budget > 0:
         budget -= 1
         ext = _sample_side(state, bond, v, KICK, rng)
         ext = _dedupe_against(ext, state.pivots[(bond, v)])
         if not len(ext):
             break
-        cfull = _merge(cand_u, cols_u, ext, cols_v, L)
-        c = f(cfull).reshape(len(cand_u), len(ext))
+        c = f.block(parts + [(cols_v, ext)]).reshape(n, len(ext))
         try:
             proj = b @ solve(b[rows], c[rows])
         except np.linalg.LinAlgError as exc:
@@ -373,7 +394,7 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
         b = np.hstack([b, c[:, j:j + 1]])
         r += 1
         rows = maxvol(np.linalg.qr(b)[0])
-        state.pivots[(bond, u)] = cand_u[rows]
+        state.pivots[(bond, u)] = pick(rows)
 
 
 def _dedupe_against(ext: np.ndarray, existing: np.ndarray) -> np.ndarray:
@@ -418,15 +439,13 @@ def _assemble(f: BlackBoxTensor, state: _PivotState) -> TreeTensorNetwork:
     """Evaluate node tensors over far-side pivots and absorb P_e^{-1}
     into the child side of every bond (rooted at the smallest node id)."""
     topo = state.topo
-    L = len(state.labels)
     tensors = {}
     axis_order = {}
     for u in sorted(topo.nodes()):
-        parts = state.far_parts(u, skip=None)
-        rows, sizes = _product_rows(parts, L)
-        tensors[u] = f(rows).reshape(sizes if sizes else (1,))
         if not state.legs_of[u]:
             raise ParameterError("node with no legs")
+        parts = state.far_parts(u, skip=None)
+        tensors[u] = f.block(parts).reshape([len(rows) for _, rows in parts])
         axis_order[u] = list(state.legs_of[u])
 
     # child w of parent p via bond: transform w's parent axis by P^{-1}
@@ -434,9 +453,8 @@ def _assemble(f: BlackBoxTensor, state: _PivotState) -> TreeTensorNetwork:
     for p, w, bond in state.schedule:
         piv_u = state.pivots[(bond, w)]
         piv_v = state.pivots[(bond, p)]
-        cols_u = state.side_cols[(bond, w)]
-        cols_v = state.side_cols[(bond, p)]
-        pmat = f(_merge(piv_u, cols_u, piv_v, cols_v, L)).reshape(
+        pmat = f.block([(state.side_cols[(bond, w)], piv_u),
+                        (state.side_cols[(bond, p)], piv_v)]).reshape(
             len(piv_u), len(piv_v))
         axis = axis_order[w].index(("bond", bond))
         t = tensors[w]

@@ -173,6 +173,22 @@ def test_random_cut_matches_generalized_eigen_oracle():
                                _gep_correlations(cov, cut), rtol=1e-9)
 
 
+def test_canonical_correlations_on_numpys_blas():
+    # numpy's svd, bit for bit what scipy's gives on the whitened block
+    import ttnprep.gaussian
+    assert ttnprep.gaussian.svd is np.linalg.svd
+    cov = make_covariance("random", 8, sigma_max=0.2, seed=3)
+    cut = Bipartition(frozenset({0, 3, 4, 6}), frozenset({1, 2, 5, 7}))
+    whitened = (ttnprep.gaussian._inv_sqrt(cov.block([0, 3, 4, 6],
+                                                     [0, 3, 4, 6]))
+                @ cov.block([0, 3, 4, 6], [1, 2, 5, 7])
+                @ ttnprep.gaussian._inv_sqrt(cov.block([1, 2, 5, 7],
+                                                       [1, 2, 5, 7])))
+    np.testing.assert_array_equal(
+        canonical_correlations(cov, cut),
+        scipy.linalg.svd(whitened, compute_uv=False))
+
+
 def test_degenerate_cut_raises():
     rho = 1.0 - 1e-14
     cov = CovarianceMatrix(np.array([[1.0, rho], [rho, 1.0]]))

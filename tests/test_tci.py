@@ -7,7 +7,7 @@ import ttnprep.tci
 from ttnprep import (BlackBoxTensor, ParameterError, RankError, TreeTopology,
                      make_covariance, maxvol, tci_build)
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
-from ttnprep.tci import _dedupe_against
+from ttnprep.tci import _dedupe_against, _low_biased
 from ttnprep.topology import enumerate_leaf_trees
 
 
@@ -134,6 +134,133 @@ def test_black_box_tracks_max_abs():
     f = BlackBoxTensor((8,), lambda idx: idx[:, 0].astype(float))
     f(np.array([[2], [5]]))
     assert f.max_abs == 5.0
+
+
+# -- block calls ----------------------------------------------------------------
+
+
+def _random_parts(rng, dims, count):
+    """count parts over a random split of the axes, columns unsorted, each
+    with a few rows (duplicates allowed) at small offsets from 0 of either
+    sign, so negative offsets wrap to the top of the axis."""
+    axes = rng.permutation(len(dims))
+    cuts = np.sort(rng.choice(np.arange(1, len(dims)), count - 1,
+                              replace=False))
+    parts = []
+    for cols in np.split(axes, cuts):
+        size = int(rng.integers(1, 6))
+        rows = np.stack([_low_biased(rng, dims[c], size) for c in cols],
+                        axis=1)
+        parts.append((cols, rows.astype(np.int64)))
+    return parts
+
+
+def _product(parts, L):
+    """Full index rows of the parts' Cartesian product, row-major."""
+    out = np.zeros([len(rows) for _, rows in parts] + [L], dtype=np.int64)
+    for p, (cols, rows) in enumerate(parts):
+        at = [1] * len(parts) + [len(cols)]
+        at[p] = len(rows)
+        out[..., cols] = rows.reshape(at)
+    return out.reshape(-1, L)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 16])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_fourier_block_equals_eval_indices(dim, m):
+    cov = make_covariance("random", dim, sigma_max=0.2, seed=dim + m)
+    ev = FourierEvaluator(GridSpec(dim, 6, 20.0, m), cov)
+    rng = np.random.default_rng(dim * 10 + m)
+    for count in range(1, min(dim, 4) + 1):
+        for _ in range(3):
+            f = BlackBoxTensor.from_fourier(ev)
+            parts = _random_parts(rng, f.dims, count)
+            ref = ev.eval_indices(_product(parts, dim))
+            got = f.block(parts)
+            assert got.dtype == complex and got.shape == ref.shape
+            # exp of a sum of terms: relative error grows with the exponent
+            expo = np.abs(np.log(np.abs(ref) * ev.norm))
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1 + expo)
+                          * np.abs(ref))
+            assert f.evals == len(ref)
+            assert f.max_abs == pytest.approx(np.max(np.abs(ref)), rel=1e-14)
+
+
+def test_generic_block_goes_through_the_cache_row_major():
+    calls = []
+
+    def fn(idx):
+        calls.append(len(idx))
+        return idx @ np.array([1.0, 10.0, 100.0]) + 1j * idx[:, 0]
+
+    f = BlackBoxTensor((3, 4, 5), fn)
+    parts = [(np.array([2]), np.array([[4], [1], [4]])),
+             (np.array([1, 0]), np.array([[3, 2], [0, 0]]))]
+    rows = _product(parts, 3)
+    want = fn(rows)
+    calls.clear()
+    np.testing.assert_array_equal(f.block(parts), want)
+    assert f.evals == 4 and calls == [4]  # the repeated row once
+    np.testing.assert_array_equal(f(rows), f.block(parts))
+    assert f.evals == 4
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+def test_block_rejects_bad_parts(fourier):
+    ev = FourierEvaluator(GridSpec(3, 4, 20.0, 2),
+                          make_covariance("chain", 3, rho=0.3))
+    f = (BlackBoxTensor.from_fourier(ev) if fourier else
+         BlackBoxTensor((4, 4, 4), lambda idx: np.ones(len(idx))))
+    one = np.zeros((2, 1), dtype=np.int64)
+    two = np.zeros((2, 2), dtype=np.int64)
+    bad = [
+        [(np.array([0, 1]), two)],                          # misses axis 2
+        [(np.array([0, 1]), two), (np.array([1]), one),
+         (np.array([2]), one)],                             # repeats axis 1
+        [(np.array([0, 1]), two), (np.array([3]), one)],    # no axis 3
+        [(np.array([0, 1]), two), (np.array([2]), one + 4)],   # index 4
+        [(np.array([0, 1]), two - 1), (np.array([2]), one)],   # index -1
+        [(np.array([0, 1]), one), (np.array([2]), one)],    # width 1 for 2
+        [],
+    ]
+    for parts in bad:
+        with pytest.raises(ParameterError):
+            f.block(parts)
+    assert f.evals == 0
+
+
+def test_tci_calls_the_pointwise_evaluator_only_for_probes(monkeypatch):
+    calls = []
+    eval_indices = FourierEvaluator.eval_indices
+
+    def counted(self, s):
+        calls.append(len(s))
+        return eval_indices(self, s)
+
+    monkeypatch.setattr(FourierEvaluator, "eval_indices", counted)
+    ev = FourierEvaluator(GridSpec(4, 6, 20.0, 3),
+                          make_covariance("chain", 4, rho=0.5))
+    f = BlackBoxTensor.from_fourier(ev)
+    tci_build(f, TreeTopology.mps(list(range(4)), 8), chi=4, sweeps=2,
+              seed=0)
+    assert len(calls) == 1 and calls[0] <= ttnprep.tci.PROBES
+
+
+def test_product_form_build_matches_the_cached_build():
+    # the same pivots and network from a generic box over the same values
+    ev = FourierEvaluator(GridSpec(4, 6, 20.0, 3),
+                          make_covariance("chain", 4, rho=0.5))
+    topo = TreeTopology.from_leaf_tree(enumerate_leaf_trees(4)[0], 4, 8)
+    n1, i1 = tci_build(BlackBoxTensor.from_fourier(ev), topo, chi=6,
+                       sweeps=3, seed=1)
+    n2, i2 = tci_build(BlackBoxTensor((8,) * 4, ev.eval_indices), topo,
+                       chi=6, sweeps=3, seed=1)
+    assert i1["pivots"].keys() == i2["pivots"].keys()
+    for key, piv in i1["pivots"].items():
+        np.testing.assert_array_equal(piv, i2["pivots"][key])
+    a, b = n1.contract_to_vector(), n2.contract_to_vector()
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert i1["evals"] > i2["evals"]  # blocks are computed, not cached
 
 
 # -- tci on Gaussian coefficients ---------------------------------------------------
