@@ -12,6 +12,10 @@ DFT embedding M -> 2^n reproduces the state up to the discarded Fourier
 tail. The alternating sign absorbs the -a/2 box offset, so the embedded
 amplitudes come out positive.
 
+FourierEvaluator gives the coefficients unnormalized, with the peak
+exactly 1 at k = 0; only the dense reference (dense_coeff_tensor) is
+normalized.
+
 Dense constructions are desk-scale verification tools and are guarded at
 24 qubits.
 """
@@ -71,23 +75,15 @@ def index_to_frequency(s, M: int):
     return np.where(s < M // 2, s, s - M)
 
 
-def _frequency_block(M: int, d: int) -> np.ndarray:
-    """Every signed frequency vector over d axes, as an (M^d, d) float
-    array in row-major stored-index order; (1, 0) for d = 0."""
-    s = np.indices((M,) * d).reshape(d, M ** d).T
-    return index_to_frequency(s, M).astype(float)
-
-
 class FourierEvaluator:
-    """Pointwise access to normalized truncated Fourier coefficients.
+    """Pointwise access to the unnormalized truncated Fourier coefficients
+    sign * exp(-c k^T Sigma k), c = (2 pi / a)^2, at every grid size.
 
-    The exact normalization sums M^dim squared coefficients and is only
-    computed when m*dim <= 24; above that the evaluator returns
-    unnormalized values (normalized attribute False) and callers
-    normalize whatever object they build from it. The sum splits the
-    axes into a leading block of dim//2 and a trailing block, so each
-    exponent is a per-block quadratic form plus one cross term and the
-    M^dim terms come from row chunks of an (M^a x M^(dim-a)) grid.
+    The peak is exactly 1.0 at k = 0. Nothing downstream needs the
+    normalization: TCI thresholds are relative to the largest magnitude
+    seen, the ledger is a ratio of singular-value masses and synthesis
+    normalizes the network, so no O(M^dim) pass runs here.
+    dense_coeff_tensor is the normalized reference.
     """
 
     def __init__(self, grid: GridSpec, cov: CovarianceMatrix):
@@ -99,31 +95,11 @@ class FourierEvaluator:
         self._form = -2.0 * self._c * cov.matrix  # eval_block's Gram form
         self._freq = index_to_frequency(np.arange(grid.M), grid.M).astype(
             float)
-        self.normalized = grid.fourier_qubits * grid.dim <= MAX_DENSE_QUBITS
-        self.norm = self._exact_norm() if self.normalized else 1.0
-
-    def _exact_norm(self) -> float:
-        M, D = self.grid.M, self.grid.dim
-        # with k = (k_a, k_b), k^T S k = q_a + q_b + 2 k_a^T S_ab k_b, so
-        # each row chunk of the pair grid costs one small matmul and an
-        # exp; for D = 1 the leading block is a single zero-length row
-        a = D // 2
-        s = self.cov.matrix
-        ka, kb = _frequency_block(M, a), _frequency_block(M, D - a)
-        qa = np.einsum("bi,ij,bj->b", ka, s[:a, :a], ka)
-        qb = np.einsum("bi,ij,bj->b", kb, s[a:, a:], kb)
-        cross = 2.0 * (s[:a, a:] @ kb.T)
-        total = 0.0
-        rows = max(1, (1 << 18) // len(kb))
-        for start in range(0, len(ka), rows):
-            quad = (qa[start:start + rows, None] + qb[None, :]
-                    + ka[start:start + rows] @ cross)
-            total += float(np.exp(-2.0 * self._c * quad).sum())
-        return math.sqrt(total)
 
     def coeff(self, k) -> np.ndarray:
-        """Signed normalized coefficient(s) at frequency vector(s) k,
-        shape (dim,) or (batch, dim), each component in [-M/2, M/2)."""
+        """Signed unnormalized coefficient(s) at frequency vector(s) k,
+        shape (dim,) or (batch, dim), each component in [-M/2, M/2);
+        exactly 1.0 at k = 0."""
         k = np.asarray(k, dtype=int)
         single = k.ndim == 1
         k = np.atleast_2d(k)
@@ -135,7 +111,7 @@ class FourierEvaluator:
         quad = np.einsum("bi,ij,bj->b", k.astype(float), self.cov.matrix,
                          k.astype(float))
         sign = 1.0 - 2.0 * (np.abs(k.sum(axis=1)) % 2)
-        vals = sign * np.exp(-self._c * quad) / self.norm
+        vals = sign * np.exp(-self._c * quad)
         return vals[0] if single else vals
 
     def eval_indices(self, s) -> np.ndarray:
@@ -148,7 +124,7 @@ class FourierEvaluator:
         rows) parts that cover every axis once, flat and row-major over
         the parts; the caller checks cover and range.
 
-        As in _exact_norm the exponent splits over the parts. With every
+        The exponent k^T S k splits over the parts. With every
         part's frequencies stacked on their own axes, one Gram product
         h = k (-2c S) k^T holds twice each part's own form on its diagonal
         and each pair's cross term in an off-diagonal block; the block
@@ -165,7 +141,7 @@ class FourierEvaluator:
         h = k @ (self._form @ k.T)
         own = 0.5 * h.diagonal()
         parity = 1.0 - 2.0 * np.mod(k.sum(1), 2.0)
-        expo, sign = 0.0, 1.0 / self.norm
+        expo, sign = 0.0, 1.0
         lo = 0
         for p, size in enumerate(sizes):
             at = [1] * n

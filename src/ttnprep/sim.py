@@ -312,10 +312,10 @@ def scan_trees(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     """Compile on every leaf tree (D <= 6) and rank the results.
 
     Returns (circuit, record) pairs, best ledger first, then fewest
-    CNOTs, then enumeration order. All builds share one evaluator, so
-    one exact norm. The records carry "trees_scanned" and a "structure"
-    of None: the first pair serves "exhaustive-optimal" and the last
-    "fixed-worst" (SCAN_ENDS).
+    CNOTs, then enumeration order. All builds share one evaluator. The
+    records carry "trees_scanned" and a "structure" of None: the first
+    pair serves "exhaustive-optimal" and the last "fixed-worst"
+    (SCAN_ENDS).
     """
     head = _head(grid, chi, mode, chi_prime, None, seed)
     D = grid.dim

@@ -281,6 +281,10 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     Returns the assembled network (exact on all pivot crosses, not yet
     canonical) and an info dict with the evaluation count (f.evals), the
     per-sweep best probe residuals, and the final pivots.
+
+    f need not be normalized: the rank cut, the growth test and the stop
+    are all relative to f.max_abs, so scaling f by a power of two scales
+    the network by it and changes no decision.
     """
     if chi < 1:
         raise ParameterError("chi must be >= 1")
@@ -400,9 +404,13 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
 def _dedupe_against(ext: np.ndarray, existing: np.ndarray) -> np.ndarray:
     """The rows of ext not in existing, each once, in first-occurrence
     order."""
-    keys = _row_keys(ext)
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    return ext[first[~np.isin(keys[first], _row_keys(existing))]]
+    seen = set(_row_keys(existing).tolist())
+    keep = []
+    for i, key in enumerate(_row_keys(ext).tolist()):
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return ext[keep]
 
 
 def _sample_side(state: _PivotState, bond, v: int, count: int,

@@ -99,10 +99,14 @@ def test_monotone_decay_along_rays():
 
 
 def test_unnormalized_above_dense_guard():
-    grid = GridSpec(5, 8, 20.0, 5)  # m*D = 25
-    ev = FourierEvaluator(grid, make_covariance("uniform", 5, rho=0.1))
-    assert not ev.normalized
-    assert ev.coeff(np.zeros(5, dtype=int)) == 1.0
+    # the peak is exactly 1 below the dense cap (m*D = 24) and above it
+    for m in (4, 5):
+        grid = GridSpec(6, 8, 20.0, m)
+        ev = FourierEvaluator(grid, make_covariance("uniform", 6, rho=0.1))
+        zero = np.zeros(6, dtype=int)
+        assert ev.coeff(zero) == 1.0
+        assert ev.eval_indices(zero) == 1.0
+        assert ev.eval_block([(np.arange(6), zero[None])]) == [1.0]
 
 
 # -- dense tensor and exact target ----------------------------------------------
@@ -113,15 +117,16 @@ def test_dense_tensor_unit_norm():
     t = dense_coeff_tensor(ev)
     assert t.shape == (4,)
     np.testing.assert_allclose(np.linalg.norm(t), 1.0, atol=1e-12)
-    # the evaluator's block-split norm against the dense tensor's own: D = 1
-    # (empty leading block), odd D (uneven blocks) and even D
+    # the evaluator over the whole box, normalized here, against the dense
+    # tensor: D = 1, odd D and even D
     for D, m, cov in ((1, 2, UNIT),
                       (3, 3, make_covariance("random", 3, sigma_max=0.2, seed=0)),
                       (5, 2, make_covariance("uniform", 5, rho=0.3)),
                       (8, 2, make_covariance("chain", 8, rho=0.5))):
         ev = FourierEvaluator(GridSpec(D, 6, 20.0, m), cov)
         s = np.indices((ev.grid.M,) * D).reshape(D, -1).T
-        np.testing.assert_allclose(ev.eval_indices(s),
+        vals = ev.eval_indices(s)
+        np.testing.assert_allclose(vals / np.linalg.norm(vals),
                                    dense_coeff_tensor(ev).ravel(),
                                    rtol=1e-13, atol=0, err_msg=f"D={D}")
 

@@ -15,7 +15,8 @@ from ttnprep.fourier import FourierEvaluator, GridSpec, exact_target
 from ttnprep.scaling import _shuffled_caterpillar
 import ttnprep.sim as simmod
 from ttnprep.sim import STRUCTURE_POLICIES, StateVector
-from ttnprep.topology import TreeTopology, caterpillar_leaf_tree
+from ttnprep.topology import (TreeTopology, caterpillar_leaf_tree,
+                              random_leaf_tree)
 from ttnprep.ttn import random_mps
 
 
@@ -486,6 +487,40 @@ def test_auto_optimize_small_dims_build_the_base_tree(D, monkeypatch):
                               structure="auto-optimize", sweeps=1)
     assert len(calls) == 1
     assert auto["tree"] == fixed["tree"]
+
+
+def _scale_invariance_instances():
+    rng = np.random.default_rng(1010)
+    tree = random_leaf_tree(8, rng)
+    perm = rng.permutation(8)
+    grid = GridSpec(8, 5, 16.0, 3)
+    start = TreeTopology.from_leaf_tree(_shuffled_caterpillar(8, perm), 8,
+                                        grid.M)
+    auto = (make_covariance("tree", 8, edges=tree, sigma=3.0), grid, 8,
+            "qft-gates", dict(chi_prime=32, structure="auto-optimize",
+                              topology=start, sweeps=2, seed=10))
+    fixed = (make_covariance("random", 6, sigma_max=0.2, seed=3),
+             GridSpec(6, 6, 20.0, 4), 6, "qft-ttn", dict(sweeps=4, seed=3))
+    return auto, fixed
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["auto-d8", "fixed-d6"])
+def test_compile_ignores_the_coefficients_scale(case, monkeypatch):
+    # every decision is relative to the peak and synthesis normalizes, so
+    # a power-of-two scale of the coefficients moves no bit of the record
+    cov, grid, chi, mode, kw = _scale_invariance_instances()[case]
+    keys = ("cnot_count", "depth", "ledger_fidelity", "tci_evals",
+            "tci_residual")
+    _, rec = compile_circuit(cov, grid, chi, mode, **kw)
+    want = {k: rec[k] for k in keys}
+    block, indices = FourierEvaluator.eval_block, FourierEvaluator.eval_indices
+    for scale in (2.0 ** -30, 2.0 ** 7):
+        monkeypatch.setattr(FourierEvaluator, "eval_block",
+                            lambda ev, parts: scale * block(ev, parts))
+        monkeypatch.setattr(FourierEvaluator, "eval_indices",
+                            lambda ev, s: scale * indices(ev, s))
+        _, rec = compile_circuit(cov, grid, chi, mode, **kw)
+        assert {k: rec[k] for k in keys} == want, scale
 
 
 @pytest.mark.parametrize("structure", STRUCTURE_POLICIES)
