@@ -18,7 +18,7 @@ from .fourier import (FourierEvaluator, GridSpec, dense_coeff_tensor,
                       inverse_dft_embedding_matrix)
 from .topology import (TreeTopology, canonical_leaf_tree,
                        caterpillar_leaf_tree, enumerate_leaf_trees,
-                       normalize_leaf_tree, random_leaf_tree, tree_distances)
+                       random_leaf_tree, tree_distances)
 from .ttn import (Edge, FidelityLedger, TreeTensorNetwork,
                   entanglement_entropy, frobenius_from_fidelity, from_dense,
                   random_mps)

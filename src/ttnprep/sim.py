@@ -26,9 +26,8 @@ from .gaussian import CovarianceMatrix
 # not called here: bench/spans.py traces ttnprep.sim.optimize_structure
 from .structopt import covariance_tree, optimize_structure  # noqa: F401
 from .tci import BlackBoxTensor, tci_build
-from .topology import (TreeTopology, canonical_leaf_tree,
-                       caterpillar_leaf_tree, enumerate_leaf_trees,
-                       normalize_leaf_tree)
+from .topology import (TreeTopology, caterpillar_leaf_tree,
+                       enumerate_leaf_trees)
 
 NORM_DRIFT_TOL = 1e-10
 OVERLAP_BLOCK = 1 << 12
@@ -247,26 +246,6 @@ def interpolate(ev: FourierEvaluator, topo: TreeTopology, chi_prime: int,
                  "tci_converged": info["converged"]}
 
 
-def _match_enumeration(D, edges, labels):
-    """Map a leaf-labeled tree onto its canonical edge list.
-
-    Up to six leaves the result is the matching entry of the full
-    enumeration, so two builds that land on the same shape use the
-    same edge list verbatim; larger trees get the normalized form.
-    """
-    if D == 1:
-        return []
-    if D <= 6:
-        key = canonical_leaf_tree(edges, labels)
-        ident = {i: i for i in range(D)}
-        for cand in enumerate_leaf_trees(D):
-            if canonical_leaf_tree(cand, ident) == key:
-                return cand
-        raise ParameterError(
-            "reshaped network left the binary leaf-tree family")
-    return normalize_leaf_tree(edges, labels)
-
-
 def _emit(coeff_net, grid, chi, mode):
     if mode == "qft-ttn":
         qft = build_qft_ttn(grid.n, grid.m)
@@ -295,11 +274,11 @@ def _head(grid, chi, mode, chi_prime, structure, seed) -> dict:
 
 def _compile_on(ev, topo, grid, mode, sweeps, head, extra):
     """Interpolate on topo, compress and synthesize; the record is head,
-    the TCI fields, extra (which names the tree), then the cost."""
+    the TCI fields, extra, the tree (topo's bonds), then the cost."""
     coeff, tci_rec = interpolate(ev, topo, head["chi_prime"], sweeps,
                                  head["seed"])
     net, circ, cost = _emit(coeff, grid, head["chi"], mode)
-    return circ, {**head, **tci_rec, **extra,
+    return circ, {**head, **tci_rec, **extra, "tree": list(topo.bonds),
                   "ledger_fidelity": net.ledger.product,
                   "cnot_count": cost.cnot_count, "qft_cnots": cost.qft_cnots,
                   "depth": cost.depth, "qubits": circ.qubits}
@@ -326,7 +305,7 @@ def scan_trees(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     trees = enumerate_leaf_trees(D)
     builds = [_compile_on(ev, TreeTopology.from_leaf_tree(edges, D, grid.M),
                           grid, mode, sweeps, head,
-                          {"trees_scanned": len(trees), "tree": edges})
+                          {"trees_scanned": len(trees)})
               for edges in trees]
     order = sorted(range(len(builds)), key=lambda i: (
         -builds[i][1]["ledger_fidelity"], builds[i][1]["cnot_count"], i))
@@ -378,12 +357,9 @@ def compile_circuit(cov: CovarianceMatrix, grid: GridSpec, chi: int,
     else:
         edges = None if topology is not None else caterpillar_leaf_tree(D)
         extra = {}
-    if edges is not None:
-        edges = _match_enumeration(D, edges, {i: i for i in range(D)})
     topo = topology if edges is None else \
         TreeTopology.from_leaf_tree(edges, D, grid.M)
-    return _compile_on(ev, topo, grid, mode, sweeps, head,
-                       {**extra, "tree": edges})
+    return _compile_on(ev, topo, grid, mode, sweeps, head, extra)
 
 
 def reference(grid: GridSpec, cov: CovarianceMatrix

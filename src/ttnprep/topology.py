@@ -129,18 +129,37 @@ class TreeTopology:
         0..num_leaves-1 carries its own physical leg, and internal
         vertices hold bonds only.
 
-        Keeping the realization uniform lets structure policies that
-        enumerate trees and policies that walk between them price every
-        candidate identically.
+        One leaf-labeled tree gives one topology, however its edge list
+        is written: the tree is rooted at leaf 0, each vertex's children
+        are ordered by the smallest leaf below them, internal vertices
+        are numbered num_leaves, num_leaves+1, ... in that preorder, and
+        the bonds are sorted pairs in sorted order. TCI sweeps, tensor
+        leg order and synthesis all follow this numbering, so the
+        records depend on the tree alone. An unlabeled vertex of degree
+        below 2 has no leaf below it and is rejected, as are edges that
+        do not form one tree over the leaves.
         """
         if num_leaves < 1:
             raise ParameterError("need at least one leaf")
-        if num_leaves == 1:
-            if edges:
-                raise ParameterError("a single leaf admits no edges")
-            return cls((), ((0, 0, dim),))
-        leaves = tuple((i, i, dim) for i in range(num_leaves))
-        return cls(tuple(tuple(e) for e in edges), leaves)
+        leaves = range(num_leaves)
+        nodes = set(leaves).union(*edges)
+        adj = _adjacency(nodes, edges)
+        if any(len(adj[u]) < 2 for u in nodes if u not in leaves):
+            raise ParameterError("an unlabeled vertex has degree below 2")
+        tree = walk(0, adj.__getitem__)
+        if len(tree) != len(nodes) or len(tree) - 1 != len(edges):
+            raise ParameterError("edges do not form one tree over the leaves")
+        low = {}   # smallest leaf below each vertex
+        for u, parent, _ in reversed(tree):
+            low[u] = min([low[v] for v, _ in adj[u] if v != parent]
+                         + ([u] if u in leaves else []))
+        ordered = walk(0, lambda u: sorted(adj[u], key=lambda p: low[p[0]]))
+        ids = dict(zip(leaves, leaves))
+        for u, _, _ in ordered:
+            ids.setdefault(u, len(ids))
+        bonds = tuple(sorted(tuple(sorted((ids[u], ids[p])))
+                             for u, p, _ in ordered[1:]))
+        return cls(bonds, tuple((i, i, dim) for i in leaves))
 
 
 def random_leaf_tree(num_leaves: int, rng: np.random.Generator,
@@ -253,27 +272,6 @@ def canonical_leaf_tree(edges: Sequence[tuple[int, int]],
         return (lab, tuple(kids))
 
     return min(encode(r, None) for r in adj)
-
-
-def normalize_leaf_tree(edges: Sequence[tuple[int, int]],
-                        labels: dict[int, Label]) -> list[tuple[int, int]]:
-    """Suppressed copy of a leaf-labeled tree on standard vertex ids:
-    the vertex labeled i becomes vertex i, unlabeled vertices follow as
-    len(labels).. in old-id order.  Labels must be exactly 0..L-1.
-    """
-    L = len(labels)
-    if sorted(labels.values()) != list(range(L)):
-        raise ParameterError("labels must be exactly 0..L-1")
-    adj = _suppressed_adjacency(edges, labels)
-    remap = dict(labels)
-    nxt = L
-    for old in sorted(adj):
-        if old not in remap:
-            remap[old] = nxt
-            nxt += 1
-    out = {tuple(sorted((remap[u], remap[v])))
-           for u in adj for v in adj[u]}
-    return sorted(out)
 
 
 def caterpillar_leaf_tree(num_leaves: int) -> list[tuple[int, int]]:

@@ -159,6 +159,15 @@ def test_build_tree_without_edges_is_a_config_error(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_tree_with_an_unlabeled_pendant_vertex_is_a_config_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tree": [[0, 3], [1, 3], [2, 3], [3, 4]]}))
+    rc = _run("compile", "--config", str(cfg), "--kind", "uniform",
+              "--param", "rho=0.3", "--dim", "3", "-n", "3", "-m", "2",
+              "--outdir", str(tmp_path))
+    assert rc == EXIT_CONFIG
+
+
 def test_tree_scan_past_six_leaves_is_a_config_error(tmp_path):
     for structure in ("exhaustive-optimal", "fixed-worst"):
         rc = _run("compile", "--kind", "uniform", "--param", "rho=0.1",

@@ -567,6 +567,27 @@ def _placements(circ):
             for p in circ.placements]
 
 
+def test_compile_depends_on_the_tree_not_its_edge_list():
+    # one caterpillar written four ways: sorted, reversed, with each pair
+    # flipped, and with its internal vertices renumbered
+    D = 8
+    edges = sorted(caterpillar_leaf_tree(D))
+    rename = dict(zip(range(D, 2 * D - 2),
+                      np.random.default_rng(5).permutation(range(20, 26))))
+    ways = (edges, edges[::-1], [(v, u) for u, v in edges],
+            [(rename.get(u, u), rename.get(v, v)) for u, v in edges])
+    cov = make_covariance("random", D, sigma_max=0.2, seed=7)
+    grid = GridSpec(D, 3, 16.0, 2)
+    built = [compile_circuit(cov, grid, 4, "qft-gates", chi_prime=8,
+                             topology=TreeTopology.from_leaf_tree(
+                                 w, D, grid.M), sweeps=2, seed=7)
+             for w in ways]
+    (circ, rec), rest = built[0], built[1:]
+    for other_circ, other in rest:
+        assert other == rec
+        assert _placements(other_circ) == _placements(circ)
+
+
 @pytest.mark.parametrize("mode", ["qft-ttn", "qft-gates"])
 def test_scan_ends_are_the_scan_policies(mode):
     cov = make_covariance("random", 4, sigma_max=0.2, seed=3)

@@ -5,7 +5,7 @@ import pytest
 
 from ttnprep import ParameterError, TreeTopology
 from ttnprep.topology import (canonical_leaf_tree, caterpillar_leaf_tree,
-                              enumerate_leaf_trees, normalize_leaf_tree,
+                              enumerate_leaf_trees,
                               random_leaf_tree, tree_distances, walk)
 
 
@@ -45,6 +45,47 @@ def test_from_leaf_tree_star():
         degrees[a] = degrees.get(a, 0) + 1
         degrees[b] = degrees.get(b, 0) + 1
     assert max(degrees.values()) == 3
+
+
+def test_from_leaf_tree_numbers_one_tree_one_way():
+    # rooted at leaf 0, children by smallest leaf below, internals in
+    # preorder, bonds sorted
+    want = ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5))
+    for edges in (((3, 9), (0, 7), (9, 2), (7, 9), (1, 7)),
+                  ((7, 0), (7, 1), (7, 9), (9, 2), (9, 3)),
+                  ((5, 4), (3, 5), (2, 5), (1, 4), (0, 4))):
+        assert TreeTopology.from_leaf_tree(edges, 4, 2).bonds == want
+    cases = [(t, 6) for t in enumerate_leaf_trees(6)]
+    cases.append((random_leaf_tree(9, np.random.default_rng(1)), 9))
+    for edges, L in cases:
+        topo = TreeTopology.from_leaf_tree(edges, L, 2)
+        assert TreeTopology.from_leaf_tree(topo.bonds, L, 2) == topo
+        assert canonical_leaf_tree(topo.bonds, _idlabels(L)) == \
+            canonical_leaf_tree(edges, _idlabels(L))
+
+
+def test_from_leaf_tree_keeps_the_caterpillar_as_written():
+    for L in range(1, 17):
+        edges = caterpillar_leaf_tree(L)
+        assert TreeTopology.from_leaf_tree(edges, L, 2).bonds == \
+            tuple(sorted(tuple(sorted(e)) for e in edges))
+
+
+def test_from_leaf_tree_rejects_an_unlabeled_pendant_vertex():
+    # vertex 4 has no leaf below it, so it has no place in the order
+    with pytest.raises(ParameterError, match="degree below 2"):
+        TreeTopology.from_leaf_tree([(0, 3), (1, 3), (2, 3), (3, 4)], 3, 2)
+
+
+@pytest.mark.parametrize("edges,num_leaves", [
+    ([(0, 3), (1, 3), (2, 3), (0, 1)], 3),   # cycle
+    ([(0, 4), (1, 4), (2, 5), (3, 5)], 4),   # forest
+    ([(0, 4), (1, 4), (2, 4)], 4),           # leaf 3 on no edge
+    ([(0, 3), (1, 3), (2, 3), (2, 3)], 3),   # duplicate edge
+], ids=["cycle", "forest", "missing-leaf", "duplicate-edge"])
+def test_from_leaf_tree_rejects_malformed_edges(edges, num_leaves):
+    with pytest.raises(ParameterError):
+        TreeTopology.from_leaf_tree(edges, num_leaves, 2)
 
 
 def test_from_leaf_tree_single_leaf():
@@ -111,18 +152,6 @@ def test_canonical_form_suppresses_degree_two_internals():
     padded = ((0, 3), (1, 3), (2, 9), (9, 3))
     assert canonical_leaf_tree(plain, _idlabels(3)) == \
         canonical_leaf_tree(padded, _idlabels(3))
-
-
-def test_normalize_preserves_canonical_form():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        edges = random_leaf_tree(5, rng)
-        norm = normalize_leaf_tree(edges, _idlabels(5))
-        assert canonical_leaf_tree(norm, _idlabels(5)) == \
-            canonical_leaf_tree(edges, _idlabels(5))
-        # normalized ids: leaves 0..4 first, internals 5..7
-        nodes = {u for e in norm for u in e}
-        assert nodes == set(range(8))
 
 
 def test_tree_distances_path():

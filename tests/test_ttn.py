@@ -202,7 +202,7 @@ def test_truncate_sweeps_bonds_in_preorder_from_center():
     # depth first from the center, each node's bonds in axes order
     edges = [(6, 7), (6, 8), (6, 9), (0, 7), (1, 7), (2, 8), (3, 8),
              (4, 9), (5, 9)]
-    topo = TreeTopology.from_leaf_tree(edges, 6, 2)
+    topo = TreeTopology(tuple(edges), tuple((i, i, 2) for i in range(6)))
     net = from_dense(np.random.default_rng(3).normal(size=(2,) * 6), topo)
     net.canonicalize(6)
     led = net.truncate(chi=1)
