@@ -8,10 +8,12 @@ each leg, and the network is T with P_e^{-1} inserted on every bond,
 which reproduces f exactly on all pivot crosses.
 
 Pivots start at the all-zero multi-index and are refined by alternating
-half-sweeps: each bond re-selects its near-side rows by maxvol over the
-candidate product of the adjacent far-side pivots, and grows its rank by
-residual-guided sampling of far-side extension columns. Ranks only grow
-while the sampled interpolation residual stays above tolerance, and the
+half-sweeps. Each bond update factors its candidate block once: one SVD
+gives the rank and the basis from which maxvol re-selects the near-side
+rows (and, when the rank drops, the far-side columns). It then grows the
+rank by cross interpolation: one batch of far-side extension columns is
+sampled and evaluated, and full-pivot cross steps on their interpolation
+residual add (row, column) pairs while it stays above tolerance. The
 pivot state with the best probe residual is the one returned, so the
 reported per-sweep residual history is nonincreasing.
 
@@ -42,7 +44,7 @@ from .ttn import TreeTensorNetwork
 MAXVOL_DELTA = 1e-2
 MAXVOL_ITERS = 200
 TCI_TOL = 1e-10      # residual, relative to the peak |f|, that stops growth
-KICK = 4             # extension columns sampled per growth step
+KICK = 4             # extension columns sampled per rank a bond update may add
 PROBES = 1000        # random entries behind the per-sweep residual
 
 
@@ -180,24 +182,22 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
     return sel
 
 
-def _low_biased(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+def _low_biased(rng: np.random.Generator, d, size) -> np.ndarray:
     """Indices in [0, d) at geometric offsets from 0, either sign, so
-    negative offsets wrap to the top of the axis."""
-    return ((rng.geometric(0.4, size=count) - 1)
-            * rng.choice((1, -1), size=count)) % d
+    negative offsets wrap to the top of the axis. d broadcasts against
+    size, so one draw covers every axis."""
+    steps = rng.geometric(0.4, size=size) - 1
+    return np.where(rng.random(size) < 0.5, steps, -steps) % d
 
 
-def _probe_indices(rng: np.random.Generator, dims: tuple[int, ...],
-                   count: int) -> np.ndarray:
+def _probe_indices(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     """Random full indices, mixing uniform draws with draws biased toward
     low indices (wrapping negatives), where seeded pivots live."""
-    out = np.empty((count, len(dims)), dtype=np.int64)
-    for i, d in enumerate(dims):
-        uniform = rng.integers(0, d, size=count)
-        biased = _low_biased(rng, d, count)
-        pick = rng.random(count) < 0.5
-        out[:, i] = np.where(pick, uniform, biased)
-    return out
+    d = np.asarray(dims, dtype=np.int64)
+    size = (count, len(d))
+    uniform = rng.integers(0, d, size=size)
+    biased = _low_biased(rng, d, size)
+    return np.where(rng.random(size) < 0.5, uniform, biased)
 
 
 class _PivotState:
@@ -339,8 +339,9 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
 
 def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
                  chi: int, rng: np.random.Generator) -> None:
-    """Re-select the u-side pivots of `bond` by maxvol over the candidate
-    product of u's other legs, then try residual-guided rank growth."""
+    """Re-select the u-side pivots of `bond` by maxvol on the SVD basis of
+    the candidate block over u's other legs, then grow the rank by cross
+    steps on one batch of sampled far-side extension columns."""
     cols_u = state.side_cols[(bond, u)]
     cols_v = state.side_cols[(bond, v)]
     parts = state.far_parts(u, skip=("bond", bond))
@@ -349,56 +350,46 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
     r = len(piv_v)
     b = f.block(parts + [(cols_v, piv_v)]).reshape(n, r)
 
-    def pick(rows):
-        return _pick_rows(parts, rows, cols_u)
-
-    # rank reveal: shrink the pair if the candidate block cannot support r
-    sv = np.linalg.svd(b, compute_uv=False) if min(b.shape) else np.array([])
+    # one SVD reveals the rank and gives the bases maxvol selects from;
+    # a rank below r shrinks the pair
+    uu, sv, vh = np.linalg.svd(b, full_matrices=False)
     scale = max(f.max_abs, 1e-300)
     rank = int((sv > max(1e-14 * scale, 1e-300)).sum())
     if rank == 0:
         # degenerate block: keep a single best-magnitude pivot
-        i = int(np.argmax(np.abs(b[:, 0]))) if b.size else 0
-        state.pivots[(bond, u)] = pick([i])
+        i = int(np.argmax(np.abs(b[:, 0])))
+        state.pivots[(bond, u)] = _pick_rows(parts, [i], cols_u)
         state.pivots[(bond, v)] = piv_v[:1]
         return
+    rows = list(maxvol(uu[:, :rank]))
     if rank < r:
-        uu, ss, vh = np.linalg.svd(b, full_matrices=False)
-        rows = maxvol(uu[:, :rank])
         colsel = maxvol(vh[:rank].conj().T)
-        state.pivots[(bond, u)] = pick(rows)
-        state.pivots[(bond, v)] = piv_v[colsel]
-        b = b[:, colsel]
-        r = rank
-    else:
-        rows = maxvol(np.linalg.qr(b)[0])
-        state.pivots[(bond, u)] = pick(rows)
+        piv_v, b, r = piv_v[colsel], b[:, colsel], rank
 
-    # growth: sample far-side extension columns, add the worst-interpolated
-    # (row, column) pair while the residual stays above tolerance
-    budget = max(2, chi // 4)
-    while r < chi and r < n and budget > 0:
-        budget -= 1
-        ext = _sample_side(state, bond, v, KICK, rng)
-        ext = _dedupe_against(ext, state.pivots[(bond, v)])
-        if not len(ext):
-            break
+    # growth: one batch of far-side extension columns, then full-pivot
+    # cross steps on their interpolation residual while it stays above
+    # tolerance; each step zeroes its row and column, so no pivot repeats
+    g = min(max(2, chi // 4), chi - r, n - r)
+    if g > 0:
+        ext = _dedupe_against(_sample_side(state, bond, v, KICK * g, rng),
+                              piv_v)
         c = f.block(parts + [(cols_v, ext)]).reshape(n, len(ext))
         try:
-            proj = b @ solve(b[rows], c[rows])
+            resid = c - b @ solve(b[rows], c[rows])
         except np.linalg.LinAlgError as exc:
             raise PivotDegeneracyError("singular pivot block during growth") \
                 from exc
-        resid = np.abs(c - proj)
-        i, j = np.unravel_index(np.argmax(resid), resid.shape)
-        if resid[i, j] <= TCI_TOL * scale:
-            break
-        state.pivots[(bond, v)] = np.vstack([state.pivots[(bond, v)],
-                                             ext[j:j + 1]])
-        b = np.hstack([b, c[:, j:j + 1]])
-        r += 1
-        rows = maxvol(np.linalg.qr(b)[0])
-        state.pivots[(bond, u)] = pick(rows)
+        added = []
+        for _ in range(min(g, len(ext))):
+            i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+            if abs(resid[i, j]) <= TCI_TOL * scale:
+                break
+            rows.append(i)
+            added.append(j)
+            resid -= np.outer(resid[:, j], resid[i, :]) / resid[i, j]
+        piv_v = np.vstack([piv_v, ext[added]])
+    state.pivots[(bond, u)] = _pick_rows(parts, rows, cols_u)
+    state.pivots[(bond, v)] = piv_v
 
 
 def _dedupe_against(ext: np.ndarray, existing: np.ndarray) -> np.ndarray:
@@ -417,29 +408,28 @@ def _sample_side(state: _PivotState, bond, v: int, count: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Random v-side assignments nested in the current far pivots: each
     sample combines one random pivot per far leg of v with random physical
-    indices; half the samples redraw every physical column low-biased."""
+    indices; half the physical entries are redrawn low-biased. Every
+    distribution is drawn once for all legs and axes."""
     cols_v = state.side_cols[(bond, v)]
     parts = state.far_parts(v, skip=("bond", bond))
     out = np.zeros((count, len(state.labels)), dtype=np.int64)
-    for cols, piv in parts:
-        picks = rng.integers(0, len(piv), size=count)
-        out[:, cols] = piv[picks]
-    # low-biased redraw of physical columns on half the samples
-    for kind, key in state.legs_of[v]:
-        if kind != "phys":
-            continue
-        low = _low_biased(rng, state.dims[key], count)
-        redraw = rng.random(count) < 0.5
-        out[redraw, state.col[key]] = low[redraw]
+    picks = rng.integers(0, [len(piv) for _, piv in parts],
+                         size=(count, len(parts)))
+    for (cols, piv), pick in zip(parts, picks.T):
+        out[:, cols] = piv[pick]
+    # low-biased redraw of physical columns on half the entries
+    phys = [key for kind, key in state.legs_of[v] if kind == "phys"]
+    at = [state.col[key] for key in phys]
+    low = _low_biased(rng, [state.dims[key] for key in phys],
+                      (count, len(phys)))
+    out[:, at] = np.where(rng.random(low.shape) < 0.5, low, out[:, at])
     full = out[:, cols_v]
     # a quarter of the samples leave the nested family entirely; a side
     # whose node carries only bonds could otherwise never grow, since all
     # its nested combinations start out at the shared seed pivot
     wild = rng.random(count) < 0.25
-    if wild.any():
-        full[wild] = _probe_indices(
-            rng, [state.dims[state.labels[c]] for c in cols_v],
-            int(wild.sum()))
+    full[wild] = _probe_indices(
+        rng, [state.dims[state.labels[c]] for c in cols_v], int(wild.sum()))
     return full
 
 

@@ -33,8 +33,11 @@ def walk(root, neighbors: Callable[[object], Iterable[tuple]]) -> list[tuple]:
     while stack:
         node, parent, via = stack.pop()
         order.append((node, parent, via))
-        kids = [(v, node, e) for v, e in neighbors(node) if v not in seen]
-        seen.update(v for v, _, _ in kids)
+        kids = []
+        for v, e in neighbors(node):
+            if v not in seen:  # marked now, so a parallel edge adds no copy
+                seen.add(v)
+                kids.append((v, node, e))
         stack.extend(reversed(kids))
     return order
 

@@ -7,8 +7,10 @@ import ttnprep.tci
 from ttnprep import (BlackBoxTensor, ParameterError, RankError, TreeTopology,
                      make_covariance, maxvol, tci_build)
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
-from ttnprep.tci import _dedupe_against, _low_biased
-from ttnprep.topology import enumerate_leaf_trees
+from ttnprep.sim import interpolate
+from ttnprep.tci import (_dedupe_against, _low_biased, _PivotState,
+                         _probe_indices, _sample_side)
+from ttnprep.topology import enumerate_leaf_trees, random_leaf_tree
 
 
 # -- maxvol -----------------------------------------------------------------------
@@ -131,6 +133,44 @@ def test_dedupe_against_matches_a_brute_force_reference():
         got = _dedupe_against(ext, existing)
         assert got.shape == (len(want), width) and got.dtype == ext.dtype
         assert got.tolist() == want
+
+
+class _CountingRng:
+    """A Generator that counts the draws made through it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_draws_do_not_grow_with_dimension():
+    calls = {}
+    for dim in (4, 16):
+        rng = _CountingRng(0)
+        idx = _probe_indices(rng, (16,) * dim, 1000)
+        probe_calls, rng.calls = rng.calls, 0
+        assert idx.shape == (1000, dim)
+        assert idx.min() >= 0 and idx.max() < 16
+        # low-biased draws pile up at 0; uniform ones reach every value
+        assert ((idx == 0).mean(axis=0) > 0.15).all()
+        assert all(len(np.unique(col)) == 16 for col in idx.T)
+        topo = TreeTopology.mps(list(range(dim)), 16)
+        state = _PivotState(topo, topo.leaf_dims())
+        bond = topo.bonds[0]
+        side = _sample_side(state, bond, bond[1], 1000, rng)
+        assert side.shape == (1000, dim - 1)
+        assert side.min() >= 0 and side.max() < 16
+        calls[dim] = (probe_calls, rng.calls)
+    assert calls[4] == calls[16]
+    assert calls[16][0] <= 4
 
 
 def test_black_box_validates_indices():
@@ -321,6 +361,37 @@ def test_tci_on_branching_tree_topology():
     got = net.contract_to_vector()
     fid = abs(np.vdot(got, dense)) ** 2 / np.vdot(got, got).real
     assert fid >= 0.999
+
+
+def test_stopping_rule_fires_on_a_generator_tree():
+    # D=8 structure-recovery instance on its own generator tree
+    tree = random_leaf_tree(8, np.random.default_rng(1004))
+    cov = make_covariance("tree", 8, edges=tree, sigma=3.0)
+    grid = GridSpec(8, 5, 16.0, 3)
+    topo = TreeTopology.from_leaf_tree(tree, 8, grid.M)
+    _, rec = interpolate(FourierEvaluator(grid, cov), topo, 32, 2, 4)
+    assert rec["tci_converged"]
+    assert rec["tci_residual"] <= ttnprep.tci.TCI_TOL
+
+
+def test_exact_rank_is_reached_and_not_passed():
+    # a generic box over a random bond-3 MPS: growth stops at the true rank
+    D, M, R = 5, 4, 3
+    rng = np.random.default_rng(0)
+    dense = np.ones((1, 1))
+    for k in range(D):
+        shape = (1 if k == 0 else R, M, 1 if k == D - 1 else R)
+        core = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dense = np.tensordot(dense, core, axes=1)
+    dense = dense.reshape((M,) * D)
+    topo = TreeTopology.mps(list(range(D)), M)
+    for seed in range(3):
+        f = BlackBoxTensor((M,) * D, lambda idx: dense[tuple(idx.T)])
+        net, info = tci_build(f, topo, chi=6, sweeps=4, seed=seed)
+        assert set(info["bond_dims"].values()) == {R}
+        assert info["converged"]
+        err = np.max(np.abs(net.contract_to_tensor() - dense))
+        assert err <= 1e-12 * np.max(np.abs(dense))
 
 
 def _assert_exact_on_pivot_crosses(f, topo, net, info, tol):

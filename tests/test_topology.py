@@ -180,6 +180,13 @@ def test_walk_short_on_forest_and_ends_on_cycle():
     assert [u for u, _, _ in walk(0, ring.__getitem__)] == [0, 1, 2, 3]
 
 
+def test_walk_visits_a_node_once_across_parallel_edges():
+    # edges c and d both join 2 to 3
+    adj = {0: [(3, "a")], 1: [(3, "b")], 2: [(3, "c"), (3, "d")],
+           3: [(0, "a"), (1, "b"), (2, "c"), (2, "d")]}
+    assert [u for u, _, _ in walk(0, adj.__getitem__)] == [0, 3, 1, 2]
+
+
 def test_mps_topology_bipartitions_are_contiguous():
     topo = TreeTopology.mps([0, 1, 2, 3, 4], 2)
     for bond, left, right in topo.bipartitions():
