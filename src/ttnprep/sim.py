@@ -241,7 +241,7 @@ def interpolate(ev: FourierEvaluator, topo: TreeTopology, chi_prime: int,
     """
     box = BlackBoxTensor.from_fourier(ev)
     net, info = tci_build(box, topo, chi=chi_prime, sweeps=sweeps, seed=seed)
-    residual = info["residuals"][-1] / max(box.max_abs, 1e-300)
+    residual = info["residual"] / max(box.max_abs, 1e-300)
     return net, {"tci_evals": info["evals"], "tci_residual": residual,
                  "tci_converged": info["converged"]}
 

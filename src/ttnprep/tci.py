@@ -14,13 +14,14 @@ rows (and, when the rank drops, the far-side columns). It then grows the
 rank by cross interpolation: one batch of far-side extension columns is
 sampled and evaluated, and full-pivot cross steps on their interpolation
 residual add (row, column) pairs while it stays above tolerance. The
-pivot state with the best probe residual is the one returned, so the
-reported per-sweep residual history is nonincreasing.
+sweeps stop after the first one in which no bond update adds a pivot.
+The network is then assembled once and checked once, against a random
+probe set drawn before the first sweep.
 
 Evaluation cost per bond visit is O(M chi^2) black-box entries (M = leg
 dimension). Every call but the probe set asks for a Cartesian product
 of pivot lists through BlackBoxTensor.block, which a Gaussian
-coefficient box answers in product form without keying any row.
+coefficient box answers in product form.
 """
 
 from __future__ import annotations
@@ -45,41 +46,34 @@ MAXVOL_DELTA = 1e-2
 MAXVOL_ITERS = 200
 TCI_TOL = 1e-10      # residual, relative to the peak |f|, that stops growth
 KICK = 4             # extension columns sampled per rank a bond update may add
-PROBES = 1000        # random entries behind the per-sweep residual
+PROBES = 1000        # random entries behind the final residual
 
 
-def _row_keys(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """One fixed-width bytes key per index row, entries cast to dtype:
-    equal rows give equal keys, and the keys sort, hash and compare."""
-    rows = np.ascontiguousarray(rows, dtype=dtype)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width bytes key per int64 index row: equal rows give
+    equal keys, and the keys sort, hash and compare."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 @dataclass
 class BlackBoxTensor:
-    """Pointwise tensor access with caching and an evaluation counter.
+    """Pointwise tensor access with an evaluation counter.
 
     fn maps an (batch, L) int64 index array to a (batch,) value array;
-    dims are the axis sizes in label-sorted order. max_abs tracks the
-    largest magnitude seen. evals counts the entries fn computed (each
-    unique row once) plus, for a box from_fourier, every entry of every
-    block, since those are computed afresh and never cached.
+    dims are the axis sizes in label-sorted order. evals counts every
+    entry computed, repeated rows included, and max_abs tracks the
+    largest magnitude seen.
 
-    A cache key is the row cast to the smallest unsigned type holding
-    max(dims) - 1 (one byte per axis up to 256). fn sees only rows not
-    yet cached, each once, in order of first occurrence.
-
-    block(parts) evaluates a Cartesian product of (columns, rows) parts.
-    A generic box answers it through the cache; a box from_fourier in
-    product form (FourierEvaluator.eval_block).
+    block(parts) evaluates a Cartesian product of (columns, rows) parts:
+    a generic box row by row through fn, a box from_fourier in product
+    form (FourierEvaluator.eval_block).
     """
 
     dims: tuple[int, ...]
     fn: Callable[[np.ndarray], np.ndarray]
     evals: int = 0
     max_abs: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
-    _key: np.dtype = field(init=False, repr=False)
     _upper: np.ndarray = field(init=False, repr=False)
     _product: Callable | None = field(default=None, init=False, repr=False)
 
@@ -89,8 +83,6 @@ class BlackBoxTensor:
             raise ParameterError("a black box needs at least one axis")
         if any(d < 1 for d in self.dims):
             raise ParameterError("axis dimensions must be >= 1")
-        # indices arrive as int64, so no key entry needs more than 64 bits
-        self._key = np.min_scalar_type(min(max(self.dims), 2 ** 63) - 1)
         self._upper = np.array([min(d, 2 ** 64 - 1) for d in self.dims],
                                dtype=np.uint64)
 
@@ -101,20 +93,17 @@ class BlackBoxTensor:
         # negative indices wrap to the top of the unsigned range
         if np.any(idx.view(np.uint64) >= self._upper):
             raise ParameterError("index out of range")
-        keys = _row_keys(idx, self._key).tolist()
-        vals = list(map(self._cache.get, keys))
-        new = list(dict.fromkeys(k for k, v in zip(keys, vals) if v is None))
-        if new:
-            rows = np.frombuffer(b"".join(new), self._key).astype(np.int64)
-            new_vals = np.asarray(self.fn(rows.reshape(len(new), -1)),
-                                  dtype=complex)
-            if new_vals.shape != (len(new),):
-                raise ParameterError("black box returned wrong batch shape")
-            self._cache.update(zip(new, new_vals.tolist()))
-            self.evals += len(new)
-            self.max_abs = max(self.max_abs, float(np.abs(new_vals).max()))
-            vals = list(map(self._cache.get, keys))
-        return np.array(vals, dtype=complex)
+        vals = np.asarray(self.fn(idx))
+        if vals.shape != (len(idx),):
+            raise ParameterError("black box returned wrong batch shape")
+        return self._count(vals)
+
+    def _count(self, vals: np.ndarray) -> np.ndarray:
+        """Count a batch of values and track its peak."""
+        if vals.size:
+            self.evals += vals.size
+            self.max_abs = max(self.max_abs, float(np.abs(vals).max()))
+        return vals.astype(complex)
 
     def block(self, parts) -> np.ndarray:
         """f over the Cartesian product of (columns, rows) parts, flat and
@@ -133,11 +122,7 @@ class BlackBoxTensor:
             total = math.prod(len(rows) for _, rows in parts)
             return self(_pick_rows(parts, np.arange(total),
                                    np.arange(len(cols))))
-        vals = self._product(parts)
-        if vals.size:
-            self.evals += vals.size
-            self.max_abs = max(self.max_abs, float(np.abs(vals).max()))
-        return vals.astype(complex)
+        return self._count(self._product(parts))
 
     @classmethod
     def from_fourier(cls, evaluator) -> "BlackBoxTensor":
@@ -258,9 +243,6 @@ class _PivotState:
                               np.arange(d, dtype=np.int64)[:, None]))
         return parts
 
-    def snapshot(self) -> dict:
-        return {k: v.copy() for k, v in self.pivots.items()}
-
 
 def _pick_rows(parts, picks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rows `picks` of the row-major Cartesian product of (columns, rows)
@@ -278,13 +260,19 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     """Interpolate the black box on the given tree topology with bond
     ranks grown adaptively up to chi.
 
+    Sweeps run until one adds no pivot: every growth step found no
+    residual entry above TCI_TOL * f.max_abs, or its bond had no room to
+    grow. The network is then assembled once and its residual taken once,
+    as the largest error on the probe set.
+
     Returns the assembled network (exact on all pivot crosses, not yet
     canonical) and an info dict with the evaluation count (f.evals), the
-    per-sweep best probe residuals, and the final pivots.
+    probe residual, whether it is within tolerance, the sweeps run and
+    the final pivots.
 
-    f need not be normalized: the rank cut, the growth test and the stop
-    are all relative to f.max_abs, so scaling f by a power of two scales
-    the network by it and changes no decision.
+    f need not be normalized: the rank cut, the growth test and the
+    tolerance are all relative to f.max_abs, so scaling f by a power of
+    two scales the network by it and changes no decision.
     """
     if chi < 1:
         raise ParameterError("chi must be >= 1")
@@ -295,53 +283,33 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     if tuple(dims_map[lab] for lab in labels) != tuple(f.dims):
         raise ParameterError("topology leaf dims do not match the black box")
     rng = np.random.default_rng(seed)
-
-    if not topo.bonds:
-        # single-tensor topology: evaluate everything
-        state = _PivotState(topo, dims_map)
-        net = _assemble(f, state)
-        return net, {"evals": f.evals, "residuals": [0.0],
-                     "converged": True, "sweeps_run": 0,
-                     "pivots": state.snapshot(), "bond_dims": {}}
-
     state = _PivotState(topo, dims_map)
     probe_set = _probe_indices(rng, f.dims, PROBES)
     probe_vals = f(probe_set)
 
-    residual_hist: list[float] = []
-    best = (math.inf, state.snapshot(), None)
-    converged = False
-    sweeps_run = 0
-    for sweep in range(sweeps):
-        sweeps_run = sweep + 1
-        for u, v, bond in state.schedule:  # forward: the root-facing side
-            _update_side(f, state, bond, u, v, chi, rng)
-        for u, v, bond in reversed(state.schedule):  # backward: the far side
-            _update_side(f, state, bond, v, u, chi, rng)
-        net = _assemble(f, state)
-        resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals)))
-        if resid < best[0]:
-            best = (resid, state.snapshot(), net)
-        residual_hist.append(best[0])
-        scale = max(f.max_abs, 1e-300)
-        if best[0] <= TCI_TOL * scale:
-            converged = True
+    for sweeps_run in range(1, sweeps + 1):
+        # forward updates the root-facing side, backward the far side
+        added = [_update_side(f, state, bond, u, v, chi, rng)
+                 for u, v, bond in state.schedule]
+        added += [_update_side(f, state, bond, v, u, chi, rng)
+                  for u, v, bond in reversed(state.schedule)]
+        if not any(added):
             break
-    _, state.pivots, net = best
-    if net is None:  # no sweep gave a finite residual: the seed pivots
-        net = _assemble(f, state)
-    info = {"evals": f.evals, "residuals": residual_hist,
-            "converged": converged, "sweeps_run": sweeps_run,
-            "pivots": state.snapshot(),
+    net = _assemble(f, state)
+    resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals)))
+    info = {"evals": f.evals, "residual": resid,
+            "converged": resid <= TCI_TOL * max(f.max_abs, 1e-300),
+            "sweeps_run": sweeps_run, "pivots": state.pivots,
             "bond_dims": {b: state.rank(b) for b in topo.bonds}}
     return net, info
 
 
 def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
-                 chi: int, rng: np.random.Generator) -> None:
+                 chi: int, rng: np.random.Generator) -> bool:
     """Re-select the u-side pivots of `bond` by maxvol on the SVD basis of
     the candidate block over u's other legs, then grow the rank by cross
-    steps on one batch of sampled far-side extension columns."""
+    steps on one batch of sampled far-side extension columns. Returns
+    whether a pivot was added."""
     cols_u = state.side_cols[(bond, u)]
     cols_v = state.side_cols[(bond, v)]
     parts = state.far_parts(u, skip=("bond", bond))
@@ -360,7 +328,7 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
         i = int(np.argmax(np.abs(b[:, 0])))
         state.pivots[(bond, u)] = _pick_rows(parts, [i], cols_u)
         state.pivots[(bond, v)] = piv_v[:1]
-        return
+        return False
     rows = list(maxvol(uu[:, :rank]))
     if rank < r:
         colsel = maxvol(vh[:rank].conj().T)
@@ -370,6 +338,7 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
     # cross steps on their interpolation residual while it stays above
     # tolerance; each step zeroes its row and column, so no pivot repeats
     g = min(max(2, chi // 4), chi - r, n - r)
+    added = []
     if g > 0:
         ext = _dedupe_against(_sample_side(state, bond, v, KICK * g, rng),
                               piv_v)
@@ -379,7 +348,6 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
         except np.linalg.LinAlgError as exc:
             raise PivotDegeneracyError("singular pivot block during growth") \
                 from exc
-        added = []
         for _ in range(min(g, len(ext))):
             i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
             if abs(resid[i, j]) <= TCI_TOL * scale:
@@ -390,6 +358,7 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
         piv_v = np.vstack([piv_v, ext[added]])
     state.pivots[(bond, u)] = _pick_rows(parts, rows, cols_u)
     state.pivots[(bond, v)] = piv_v
+    return bool(added)
 
 
 def _dedupe_against(ext: np.ndarray, existing: np.ndarray) -> np.ndarray:
