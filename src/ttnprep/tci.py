@@ -10,11 +10,13 @@ which reproduces f exactly on all pivot crosses.
 Pivots start at the all-zero multi-index and are refined by alternating
 half-sweeps. Each bond update factors its candidate block once: one SVD
 gives the rank and the basis from which maxvol re-selects the near-side
-rows (and, when the rank drops, the far-side columns). It then grows the
-rank by cross interpolation: one batch of far-side extension columns is
-sampled and evaluated, and full-pivot cross steps on their interpolation
-residual add (row, column) pairs while it stays above tolerance. The
-sweeps stop after the first one in which no bond update adds a pivot.
+rows (and, when the rank drops, the far-side columns). maxvol takes one
+pivoted LU of that basis: its pivots are the starting rows and its
+diagonal the rank check. The update then grows the rank by cross
+interpolation: one batch of far-side extension columns is sampled and
+evaluated, and full-pivot cross steps on their interpolation residual
+add (row, column) pairs while it stays above tolerance. The sweeps stop
+after the first one in which no bond update adds a pivot.
 The network is then assembled once and checked once, against a random
 probe set drawn before the first sweep.
 
@@ -22,6 +24,10 @@ Evaluation cost per bond visit is O(M chi^2) black-box entries (M = leg
 dimension). Every call but the probe set asks for a Cartesian product
 of pivot lists through BlackBoxTensor.block, which a Gaussian
 coefficient box answers in product form.
+
+Values keep the box's arithmetic. The Gaussian's Fourier coefficients
+are real, so its blocks, SVDs, LUs, solves and cross updates all run in
+real LAPACK and BLAS; only the assembled network is stored complex.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ class BlackBoxTensor:
     fn maps an (batch, L) int64 index array to a (batch,) value array;
     dims are the axis sizes in label-sorted order. evals counts every
     entry computed, repeated rows included, and max_abs tracks the
-    largest magnitude seen.
+    largest magnitude seen. Values keep the box's dtype, widened to at
+    least float64: float64 for a real box, complex128 for a complex one.
 
     block(parts) evaluates a Cartesian product of (columns, rows) parts:
     a generic box row by row through fn, a box from_fourier in product
@@ -75,6 +82,7 @@ class BlackBoxTensor:
     evals: int = 0
     max_abs: float = 0.0
     _upper: np.ndarray = field(init=False, repr=False)
+    _axes: np.ndarray = field(init=False, repr=False)
     _product: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -85,6 +93,7 @@ class BlackBoxTensor:
             raise ParameterError("axis dimensions must be >= 1")
         self._upper = np.array([min(d, 2 ** 64 - 1) for d in self.dims],
                                dtype=np.uint64)
+        self._axes = np.arange(len(self.dims))
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
@@ -103,14 +112,15 @@ class BlackBoxTensor:
         if vals.size:
             self.evals += vals.size
             self.max_abs = max(self.max_abs, float(np.abs(vals).max()))
-        return vals.astype(complex)
+        return vals.astype(np.result_type(vals, np.float64), copy=False)
 
     def block(self, parts) -> np.ndarray:
         """f over the Cartesian product of (columns, rows) parts, flat and
         row-major over the parts: rows is an int64 (count, len(columns))
         array, and the columns of all parts cover every axis once."""
-        cols = [i for c, _ in parts for i in np.asarray(c).tolist()]
-        if len(cols) != len(self.dims) or set(cols) != set(range(len(cols))):
+        cols = np.concatenate([c for c, _ in parts] or [[]])
+        if (cols.shape != self._axes.shape
+                or (np.sort(cols) != self._axes).any()):
             raise ParameterError("block parts must cover every axis once")
         for c, rows in parts:
             if rows.dtype != np.int64 or rows.shape[1:] != (len(c),):
@@ -120,8 +130,7 @@ class BlackBoxTensor:
                 raise ParameterError("index out of range")
         if self._product is None:
             total = math.prod(len(rows) for _, rows in parts)
-            return self(_pick_rows(parts, np.arange(total),
-                                   np.arange(len(cols))))
+            return self(_pick_rows(parts, np.arange(total), self._axes))
         return self._count(self._product(parts))
 
     @classmethod
@@ -136,7 +145,11 @@ class BlackBoxTensor:
 def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
     """Rows of a (tall, full-column-rank) matrix forming a dominant
     square submatrix: all entries of a @ a[rows]^{-1} have magnitude
-    <= 1 + delta. Partial-pivot LU initialization, then greedy swaps."""
+    <= 1 + delta. Partial-pivot LU initialization, then greedy swaps.
+    Raises RankError when the LU's diagonal shows a rank deficit. The
+    check assumes well-conditioned columns, such as an orthonormal
+    basis: a partial-pivot LU can leave moderate pivots on an
+    ill-conditioned matrix, which then passes with inaccurate swaps."""
     a = np.asarray(a)
     r, c = a.shape
     if r < c:
@@ -146,23 +159,24 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
     with warnings.catch_warnings():
         # singular candidates are caught by the rank check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        _, piv = lu_factor(a.copy())
-    perm = np.arange(r)
-    for i, p in enumerate(piv):
-        perm[i], perm[p] = perm[p], perm[i]
-    sel = perm[:c].copy()
-    sub = a[sel]
-    sv = np.linalg.svd(sub, compute_uv=False)
-    if sv[-1] <= 1e-13 * max(sv[0], 1e-300):
+        lu, piv = lu_factor(a)
+    # a[sel] = L U with unit L, so U's diagonal reveals a rank deficit
+    diag = np.abs(lu.diagonal())
+    if diag.min() <= 1e-13 * max(diag.max(), 1e-300):
         raise RankError("candidate matrix is rank deficient")
-    coef = solve(sub.T, a.T).T
+    # LAPACK's row interchanges, in order, on Python ints
+    perm = list(range(r))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
+    sel = np.array(perm[:c])
+    coef = a @ np.linalg.inv(a[sel])
     for _ in range(MAXVOL_ITERS):
-        i, j = np.unravel_index(np.argmax(np.abs(coef)), coef.shape)
+        i, j = divmod(int(np.abs(coef).argmax()), c)
         if abs(coef[i, j]) <= 1.0 + delta:
             break
         ej = np.zeros(c)
         ej[j] = 1.0
-        coef = coef - np.outer(coef[:, j], coef[i, :] - ej) / coef[i, j]
+        coef -= coef[:, j, None] * (coef[i] - ej) / coef[i, j]
         sel[j] = i
     return sel
 
@@ -349,12 +363,12 @@ def _update_side(f: BlackBoxTensor, state: _PivotState, bond, u: int, v: int,
             raise PivotDegeneracyError("singular pivot block during growth") \
                 from exc
         for _ in range(min(g, len(ext))):
-            i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+            i, j = divmod(int(np.abs(resid).argmax()), len(ext))
             if abs(resid[i, j]) <= TCI_TOL * scale:
                 break
             rows.append(i)
             added.append(j)
-            resid -= np.outer(resid[:, j], resid[i, :]) / resid[i, j]
+            resid -= resid[:, j, None] * resid[i] / resid[i, j]
         piv_v = np.vstack([piv_v, ext[added]])
     state.pivots[(bond, u)] = _pick_rows(parts, rows, cols_u)
     state.pivots[(bond, v)] = piv_v

@@ -46,8 +46,52 @@ def test_maxvol_dominance_property():
 def test_maxvol_degenerate_and_shape_errors():
     with pytest.raises(RankError):
         maxvol(np.ones((6, 2)))  # rank 1 candidate
+    # a second column that is the first to rounding leaves an LU pivot of
+    # rounding size, and the check sees the deficit; a perturbation well
+    # above rounding is full rank
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=8)
+    for scale in (1 + 1e-15, 1 - 3e-16):
+        with pytest.raises(RankError):
+            maxvol(np.column_stack([x, x * scale]))
+    y = x * (1 + 1e-9 * rng.normal(size=8))
+    assert len(set(maxvol(np.column_stack([x, y])).tolist())) == 2
     with pytest.raises(ParameterError):
         maxvol(np.ones((2, 3)))
+
+
+def test_one_svd_per_bond_update_and_none_in_maxvol(monkeypatch):
+    calls = {"svd": 0, "in_maxvol": 0}
+    inside = [0]
+    svd, inner = np.linalg.svd, ttnprep.tci.maxvol
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        calls["in_maxvol"] += inside[0]
+        return svd(*args, **kwargs)
+
+    def counted_maxvol(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(ttnprep.tci, "maxvol", counted_maxvol)
+    f, _ = _gaussian_box(4, 0.5, 3)
+    topo = TreeTopology.mps(list(range(4)), 8)
+    state = _PivotState(topo, topo.leaf_dims())
+    rng = np.random.default_rng(0)
+    updates = 0
+    for _ in range(3):
+        for u, v, bond in state.schedule + [
+                (v, u, bond) for u, v, bond in state.schedule[::-1]]:
+            before = calls["svd"]
+            _update_side(f, state, bond, u, v, 6, rng)
+            assert calls["svd"] - before == 1
+            updates += 1
+    assert updates == 18 and calls["in_maxvol"] == 0
 
 
 # -- black box --------------------------------------------------------------------
@@ -164,7 +208,7 @@ def test_black_box_empty_batch():
     f = BlackBoxTensor((4, 4), lambda idx: idx[:, 0] + 2.0)
     f(np.array([[3, 1]]))
     out = f(np.zeros((0, 2), dtype=np.int64))
-    assert out.shape == (0,) and out.dtype == complex
+    assert out.shape == (0,) and out.dtype == np.float64
     assert (f.evals, f.max_abs) == (1, 5.0)
 
 
@@ -209,7 +253,7 @@ def test_fourier_block_equals_eval_indices(dim, m):
             parts = _random_parts(rng, f.dims, count)
             ref = ev.eval_indices(_product(parts, dim))
             got = f.block(parts)
-            assert got.dtype == complex and got.shape == ref.shape
+            assert got.dtype == np.float64 and got.shape == ref.shape
             # exp of a sum of terms: relative error grows with the exponent
             expo = np.abs(np.log(np.abs(ref)))
             assert np.all(np.abs(got - ref) <= 1e-14 * (1 + expo)
@@ -337,7 +381,8 @@ def test_stopping_rule_fires_on_a_generator_tree():
 
 
 def test_exact_rank_is_reached_and_not_passed():
-    # a generic box over a random bond-3 MPS: growth stops at the true rank
+    # a generic box over a random complex bond-3 MPS: growth stops at
+    # the true rank
     D, M, R = 5, 4, 3
     rng = np.random.default_rng(0)
     dense = np.ones((1, 1))
@@ -349,6 +394,11 @@ def test_exact_rank_is_reached_and_not_passed():
     topo = TreeTopology.mps(list(range(D)), M)
     for seed in range(3):
         f = BlackBoxTensor((M,) * D, lambda idx: dense[tuple(idx.T)])
+        # a complex box stays complex, pointwise and in blocks
+        zero = np.zeros((2, 1), dtype=np.int64)
+        assert f(np.zeros((2, D), dtype=np.int64)).dtype == np.complex128
+        assert f.block([(np.array([k]), zero) for k in range(D)]).dtype \
+            == np.complex128
         net, info = tci_build(f, topo, chi=6, sweeps=4, seed=seed)
         assert set(info["bond_dims"].values()) == {R}
         assert info["converged"] and info["sweeps_run"] < 4
@@ -357,6 +407,24 @@ def test_exact_rank_is_reached_and_not_passed():
 
 
 V4_SEED = 1826701615  # the verify-d4 benchmark's seed-0 covariance
+
+
+def test_real_box_builds_as_its_complex_copy():
+    # the same real values, returned as float and as complex, give the
+    # same network up to rounding
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=V4_SEED)
+    ev = FourierEvaluator(GridSpec(4, 6, 20.0, 4), cov)
+    topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(4), 4, 16)
+    builds = []
+    for fn in (ev.eval_indices, lambda idx: ev.eval_indices(idx) + 0j):
+        f = BlackBoxTensor((16,) * 4, fn)
+        net, info = tci_build(f, topo, chi=16, sweeps=6, seed=0)
+        builds.append((f, net, info))
+    (fr, nr, ir), (fc, nc, ic) = builds
+    assert ir["bond_dims"] == ic["bond_dims"]
+    probes = _probe_indices(np.random.default_rng(1), fr.dims, 1000)
+    np.testing.assert_allclose(nr.evaluate(probes), nc.evaluate(probes),
+                               rtol=0, atol=1e-12 * fr.max_abs)
 
 
 def _verify_d4_box():
