@@ -18,7 +18,7 @@ import numpy as np
 from ttnprep.fourier import FourierEvaluator, GridSpec
 from ttnprep.gaussian import make_covariance
 from ttnprep.sim import interpolate
-from ttnprep.structopt import optimize_structure
+from ttnprep.structopt import PAIRING_NAMES, optimize_structure
 from ttnprep.topology import (TreeTopology, canonical_leaf_tree,
                               caterpillar_leaf_tree, random_leaf_tree)
 
@@ -54,7 +54,7 @@ def main():
             continue
         ents = ", ".join(f"{e:.3f}" for e in c.entropies)
         print(f"  bond {c.edge}: entropies [{ents}] "
-              f"-> pairing {c.pairings[c.chosen]}")
+              f"-> pairing {PAIRING_NAMES[c.chosen]}")
     print(f"{report['accepted_total']} reconnections "
           f"over {len(report['sweeps'])} sweeps")
 

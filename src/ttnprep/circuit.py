@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Hashable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
                      ParameterError, ShapeError)
@@ -306,7 +305,7 @@ def _complete_isometry(mat: np.ndarray, valid: int) -> np.ndarray:
         out = np.zeros((rows, cols), dtype=complex)
         out[:cols, :] = np.eye(cols)
         return out
-    q_full = scipy.linalg.qr(mat[:, :valid], mode="full")[0]
+    q_full = np.linalg.qr(mat[:, :valid], mode="complete")[0]
     out = mat.copy()
     out[:, valid:] = q_full[:, valid:cols]
     return out

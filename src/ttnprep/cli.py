@@ -24,8 +24,8 @@ from .fourier import FourierEvaluator, GridSpec
 from .gaussian import (Bipartition, canonical_correlations,
                        closed_form_rank_bound, make_covariance, required_bond)
 from .sim import (MODES, STRUCTURE_POLICIES, compile_circuit, interpolate,
-                  verify_pipeline)
-from .structopt import optimize_structure
+                  resolve_chi_prime, verify_pipeline)
+from .structopt import PAIRING_NAMES, optimize_structure
 from .topology import TreeTopology, caterpillar_leaf_tree
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def _interpolate(cfg: RunConfig, seed: int):
     if topo is None:
         topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(cfg.dim),
                                            cfg.dim, cfg.grid.M)
-    chi_prime = cfg.chi_prime or max(2 * cfg.chi, 16)
+    chi_prime = resolve_chi_prime(cfg.chi, cfg.chi_prime)
     net, tci_rec = interpolate(FourierEvaluator(cfg.grid, cov), topo,
                                chi_prime, cfg.sweeps, seed)
     rec = {"seed": seed, "chi_prime": chi_prime,
@@ -208,8 +208,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
         for choice in report["choices"]:
             fh.write(json.dumps({
                 "edge": choice.edge, "entropies": list(choice.entropies),
-                "chosen": choice.chosen, "pairing":
-                    choice.pairings[choice.chosen],
+                "chosen": choice.chosen,
+                "pairing": PAIRING_NAMES[choice.chosen],
                 "accepted": choice.accepted,
                 "step_fidelity": choice.step_fidelity}) + "\n")
     rec.update({"reconnections": report["accepted_total"],

@@ -22,10 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-# numpy's svd gives bitwise the same canonical correlations in about half
-# the time; scipy's eigh stays, since numpy's moves them in the last bits
-from numpy.linalg import svd
-from scipy.linalg import eigh
+from numpy.linalg import eigh, svd
 
 from .errors import (DegenerateDistributionError, GenerationError,
                      IllConditionedError, ParameterError, PrecisionError)

@@ -260,16 +260,19 @@ def _emit(coeff_net, grid, chi, mode):
     return net, circ, circ.cost
 
 
+def resolve_chi_prime(chi: int, chi_prime: int | None) -> int:
+    """TCI's bond limit: chi_prime when given, else max(2 chi, 16)."""
+    return max(2 * chi, 16) if chi_prime is None else chi_prime
+
+
 def _head(grid, chi, mode, chi_prime, structure, seed) -> dict:
     """Check the mode and start a compile record; the evaluator checks
     that grid and covariance agree."""
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    if chi_prime is None:
-        chi_prime = max(2 * chi, 16)
     return {"dim": grid.dim, "n": grid.n, "m": grid.m, "chi": chi,
-            "chi_prime": chi_prime, "mode": mode, "structure": structure,
-            "seed": seed}
+            "chi_prime": resolve_chi_prime(chi, chi_prime), "mode": mode,
+            "structure": structure, "seed": seed}
 
 
 def _compile_on(ev, topo, grid, mode, sweeps, head, extra):

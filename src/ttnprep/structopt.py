@@ -4,10 +4,12 @@ A local reconnection contracts the two degree-3 tensors adjacent to a
 bond into a 4-leg blob, splits the blob along each of the three leg
 pairings, and keeps the pairing with the least entanglement entropy
 across the new bond (entropy measured after truncating to the working
-rank and renormalizing). Ties go to the incumbent pairing. Sweeping
-reconnections over all bonds performs nearest-neighbor-interchange moves
-on the underlying leaf-labeled tree, so repeated sweeps can reach any
-tree topology on the same leaves.
+rank and renormalizing). Ties go to the incumbent pairing. A bond is
+movable when both its endpoints have three legs. A reconnection keeps
+every node's legs, so the movable bonds are fixed for a run. Sweeping
+reconnections over them performs nearest-neighbor-interchange moves on
+the underlying leaf-labeled tree, so repeated sweeps can reach any tree
+topology on the same leaves.
 
 covariance_tree picks a leaf tree before any tensor exists: the
 canonical correlations across a cut give its exact Schmidt spectrum, so
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svd
 
 from .errors import ParameterError
 from .gaussian import (Bipartition, CovarianceMatrix, canonical_correlations,
@@ -33,6 +34,7 @@ PAIRING_NAMES = ("ab|cd", "ac|bd", "ad|bc")
 _PERMS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 TIE_TOL = 1e-10
 GAIN_TOL = 1e-12
+MAX_SWEEPS = 6
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class ReconnectionChoice:
     chosen: int
     accepted: bool
     step_fidelity: float
-    pairings: tuple[str, str, str] = PAIRING_NAMES
 
     def __post_init__(self):
         if self.entropies[self.chosen] > min(self.entropies) + 1e-9:
@@ -66,25 +67,23 @@ def _pairing_entropy(mat: np.ndarray, chi: int) -> float:
 
 
 def local_reconnect(net: TreeTensorNetwork, e: int,
-                    chi: int) -> ReconnectionChoice | None:
+                    chi: int) -> ReconnectionChoice:
     """Try the three pairings of the 4 outward legs around bond e.
 
-    Returns None (and changes nothing) unless both endpoints have degree
-    3 and the center sits on one of them. On a change of pairing, or when
-    the incumbent bond exceeds chi, the blob is re-split with rank at
-    most chi, the kept weight renormalized, the center left on the far
+    Bond e must be movable (both endpoints with three legs) and the
+    center must sit on one of its endpoints. On a change of pairing, or
+    when the incumbent bond exceeds chi, the blob is re-split with rank
+    at most chi, the kept weight renormalized, the center left on the far
     endpoint, and any discarded mass recorded in the ledger.
     """
-    ed = net.edges[e]
-    if ed.is_phys:
-        raise ParameterError("reconnection needs a bond edge")
-    u, v = ed.nodes
+    if not _movable(net, e):
+        raise ParameterError("reconnection needs a bond between two "
+                             "3-leg nodes")
+    u, v = net.edges[e].nodes
     if net.center not in (u, v):
         raise ParameterError("center must sit on an endpoint of the bond")
     legs_u = [x for x in net.axes[u] if x != e]
     legs_v = [x for x in net.axes[v] if x != e]
-    if len(legs_u) != 2 or len(legs_v) != 2:
-        return None
 
     t = np.tensordot(net.tensors[u], net.tensors[v],
                      axes=(net.axes[u].index(e), net.axes[v].index(e)))
@@ -104,7 +103,8 @@ def local_reconnect(net: TreeTensorNetwork, e: int,
     perm = _PERMS[chosen]
     tp = np.transpose(t, perm)
     d0, d1, d2, d3 = tp.shape
-    uu, s, vh = svd(tp.reshape(d0 * d1, d2 * d3), full_matrices=False)
+    uu, s, vh = np.linalg.svd(tp.reshape(d0 * d1, d2 * d3),
+                              full_matrices=False)
     positive = max(1, int((s > 1e-14 * s[0]).sum()))
     r = min(chi, positive)
     s2 = s * s
@@ -129,6 +129,11 @@ def local_reconnect(net: TreeTensorNetwork, e: int,
     return ReconnectionChoice(e, tuple(entropies), chosen, accepted, f)
 
 
+def _movable(net: TreeTensorNetwork, e: int) -> bool:
+    ed = net.edges[e]
+    return not ed.is_phys and all(len(net.axes[x]) == 3 for x in ed.nodes)
+
+
 def _reattach(net: TreeTensorNetwork, e: int, node: int,
               pair: tuple[int, int]) -> None:
     """Point leg e at `node`; its far endpoint (outside the reconnected
@@ -142,33 +147,26 @@ def _reattach(net: TreeTensorNetwork, e: int, node: int,
     net.edges[e] = Edge((node, other))
 
 
-def optimize_structure(net: TreeTensorNetwork, chi: int, max_sweeps: int = 6,
+def optimize_structure(net: TreeTensorNetwork, chi: int,
                        ) -> tuple[TreeTensorNetwork, dict]:
-    """Sweep local reconnections over all bonds until a sweep accepts no
-    change (or max_sweeps). The net is modified in place and returned
-    with its report: per-sweep counts and every reconnection choice."""
-    if max_sweeps < 1:
-        raise ParameterError("max_sweeps must be >= 1")
+    """Sweep local reconnections over the movable bonds, in id order,
+    until a sweep accepts no change (or MAX_SWEEPS). The net is modified
+    in place and returned with its report: per-sweep counts and every
+    reconnection choice."""
     if net.center is None:
         net.canonicalize(min(net.tensors))
-    bond_ids = sorted(e for e, ed in net.edges.items() if not ed.is_phys)
+    bond_ids = sorted(e for e in net.edges if _movable(net, e))
     sweeps = []
     choices: list[ReconnectionChoice] = []
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         accepted = 0
-        skipped = 0
         for e in bond_ids:
-            u, _ = net.edges[e].nodes
-            net.move_center(u)
+            net.move_center(net.edges[e].nodes[0])
             rc = local_reconnect(net, e, chi)
-            if rc is None:
-                skipped += 1
-                continue
             choices.append(rc)
-            if rc.accepted:
-                accepted += 1
-        sweeps.append({"sweep": sweep, "attempts": len(bond_ids) - skipped,
-                       "skipped": skipped, "accepted": accepted})
+            accepted += rc.accepted
+        sweeps.append({"sweep": sweep, "attempts": len(bond_ids),
+                       "accepted": accepted})
         if accepted == 0:
             break
     net.validate()

@@ -11,7 +11,8 @@ import time
 from ttnprep import (ParameterError, ReconnectionChoice, TreeTopology,
                      local_reconnect, make_covariance, optimize_structure,
                      predict_ttn_fidelity)
-from ttnprep.structopt import PAIRING_NAMES, covariance_tree
+from ttnprep import structopt
+from ttnprep.structopt import MAX_SWEEPS, PAIRING_NAMES, covariance_tree
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
 from ttnprep.topology import (canonical_leaf_tree, caterpillar_leaf_tree,
                               random_leaf_tree)
@@ -83,7 +84,8 @@ def test_local_reconnect_skips_leaf_bonds():
     net = _bell_pairs_net()
     net.canonicalize(0)
     e = net.bond_between(0, 4)  # leaf side has no second outward leg
-    assert local_reconnect(net, e, chi=4) is None
+    with pytest.raises(ParameterError):
+        local_reconnect(net, e, chi=4)
 
 
 def _chain_coeff_net(edges, dim=4, rho=0.5, m=3, chi=6):
@@ -145,14 +147,35 @@ def test_optimize_canonicalizes_uncentered_net_at_smallest_node():
 
 def test_optimize_report_shape():
     net = _chain_coeff_net(PAIRED_02_13)
-    _, report = optimize_structure(net, chi=6, max_sweeps=3)
-    assert len(report["sweeps"]) <= 3
+    _, report = optimize_structure(net, chi=6)
+    assert len(report["sweeps"]) <= MAX_SWEEPS
     for row in report["sweeps"]:
-        assert set(row) >= {"sweep", "attempts", "skipped", "accepted"}
+        assert set(row) >= {"sweep", "attempts", "accepted"}
     assert report["accepted_total"] == sum(
         r["accepted"] for r in report["sweeps"])
     for choice in report["choices"]:
         assert isinstance(choice, ReconnectionChoice)
+
+
+def test_sweep_visits_only_movable_bonds(monkeypatch):
+    rng = np.random.default_rng(3)
+    t = rng.normal(size=(2,) * 6)
+    topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(6), 6, 2)
+    net = from_dense(t / np.linalg.norm(t), topo)
+    calls = []
+
+    def counted(net, e, chi):
+        assert all(len(net.axes[x]) == 3 for x in net.edges[e].nodes)
+        calls.append(e)
+        return local_reconnect(net, e, chi)
+
+    monkeypatch.setattr(structopt, "local_reconnect", counted)
+    _, report = optimize_structure(net, chi=2)
+    attempts = [row["attempts"] for row in report["sweeps"]]
+    assert len(attempts) >= 2 and attempts == [3] * len(attempts)
+    assert len(calls) == sum(attempts) == len(report["choices"])
+    # every sweep visits the same bonds in id order
+    assert calls == sorted(calls[:3]) * len(attempts)
 
 
 # -- tree search on the covariance ----------------------------------------------
