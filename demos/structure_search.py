@@ -19,8 +19,8 @@ from ttnprep.fourier import FourierEvaluator, GridSpec
 from ttnprep.gaussian import make_covariance
 from ttnprep.sim import interpolate
 from ttnprep.structopt import PAIRING_NAMES, optimize_structure
-from ttnprep.topology import (TreeTopology, canonical_leaf_tree,
-                              caterpillar_leaf_tree, random_leaf_tree)
+from ttnprep.topology import (TreeTopology, caterpillar_leaf_tree,
+                              random_leaf_tree)
 
 
 def main():
@@ -58,9 +58,8 @@ def main():
     print(f"{report['accepted_total']} reconnections "
           f"over {len(report['sweeps'])} sweeps")
 
-    ident = {i: i for i in range(args.dim)}
-    got = canonical_leaf_tree(*net.leaf_tree())
-    want = canonical_leaf_tree(hidden, ident)
+    got = net.topology().splits()
+    want = TreeTopology.from_leaf_tree(hidden, args.dim, 1).splits()
     print("recovered tree matches hidden tree:", got == want)
 
 

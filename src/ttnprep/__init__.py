@@ -6,7 +6,7 @@ from .errors import (CapacityError, CircuitValidityError, ConfigError,
                      DegenerateDistributionError, GenerationError,
                      IllConditionedError, NormalizationError, NumericalError,
                      ParameterError, PivotDegeneracyError, PrecisionError,
-                     RankError, ShapeError, TtnError, VerificationError)
+                     RankError, ShapeError, TtnError)
 from .gaussian import (Bipartition, CovarianceMatrix, SchmidtSpectrum,
                        canonical_correlations, closed_form_rank_bound,
                        cut_spectrum, make_covariance, pair_ratio,
@@ -16,9 +16,8 @@ from .fourier import (FourierEvaluator, GridSpec, dense_coeff_tensor,
                       exact_target, fourier_ceiling, fsl_state,
                       index_to_frequency,
                       inverse_dft_embedding_matrix)
-from .topology import (TreeTopology, canonical_leaf_tree,
-                       caterpillar_leaf_tree, enumerate_leaf_trees,
-                       random_leaf_tree, tree_distances)
+from .topology import (TreeTopology, caterpillar_leaf_tree,
+                       enumerate_leaf_trees, random_leaf_tree, tree_distances)
 from .ttn import (Edge, FidelityLedger, TreeTensorNetwork,
                   entanglement_entropy, frobenius_from_fidelity, from_dense,
                   random_mps)

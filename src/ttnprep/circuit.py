@@ -17,7 +17,7 @@ to the coefficient circuit as one symbolic placement per dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Sequence
 
@@ -227,7 +227,6 @@ class CostReport:
     cnot_count: int
     depth: int
     qft_cnots: int = 0
-    breakdown: list = field(default_factory=list)
 
     @property
     def total_cnots(self) -> int:
@@ -235,12 +234,11 @@ class CostReport:
 
     def to_dict(self) -> dict:
         return {"cnot_count": self.cnot_count, "depth": self.depth,
-                "qft_cnots": self.qft_cnots, "breakdown": self.breakdown}
+                "qft_cnots": self.qft_cnots}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostReport":
-        return cls(d["cnot_count"], d["depth"], d.get("qft_cnots", 0),
-                   list(d.get("breakdown", [])))
+        return cls(d["cnot_count"], d["depth"], d.get("qft_cnots", 0))
 
 
 @dataclass(eq=False)
@@ -332,7 +330,6 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
     bond_wires: dict[int, list[int]] = {}
     wire_label: dict[int, Hashable] = {}
     placements = []
-    breakdown = []
     node_cost = {}
     for u, _, pe in order:
         t = work.tensors[u]
@@ -373,9 +370,6 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
         kind = "prep" if pe is None else "isometry"
         placements.append(Placement(tuple(targets), p, mat, kind))
         node_cost[u] = 1 << (p + q)
-        breakdown.append({"node": int(u), "p": int(p), "q": int(q),
-                          "cnots": node_cost[u],
-                          "targets": [int(w) for w in targets]})
 
     # deepest cost sum below each node, children first; the root's
     # parent key None ends up holding the circuit depth
@@ -387,22 +381,19 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
     if len(wire_label) != next_wire:
         raise ShapeError("wire bookkeeping lost a physical leg")
     circ = _label_ordered(placements, wire_label, CostReport(
-        sum(node_cost.values()), below[None], qft_cnots=0,
-        breakdown=breakdown))
+        sum(node_cost.values()), below[None]))
     return circ, circ.cost
 
 
 def _label_ordered(placements: list, wire_label: dict,
                    cost: CostReport) -> QuantumCircuit:
     """The circuit with its wires renumbered so that wire i carries the
-    i-th smallest label, in the placements and in the breakdown rows."""
+    i-th smallest label."""
     perm = {w: i for i, (_, w) in
             enumerate(sorted((lab, w) for w, lab in wire_label.items()))}
     placements = [Placement(tuple(perm[w] for w in plc.targets),
                             plc.in_qubits, plc.matrix, plc.kind)
                   for plc in placements]
-    cost.breakdown = [dict(row, targets=[perm[w] for w in row["targets"]])
-                      for row in cost.breakdown]
     circ = QuantumCircuit(len(perm), placements,
                           tuple(sorted(wire_label.values())), cost)
     circ.validate()
@@ -422,7 +413,6 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
             raise ShapeError(f"wire label {lab!r} is not (dimension, bit)")
         by_dim.setdefault(lab[0], {})[lab[1]] = w
     placements = list(circ.placements)
-    breakdown = list(circ.cost.breakdown)
     wire_label = dict(enumerate(circ.labels))
     next_wire = circ.qubits
     qft_cnots = 0
@@ -440,14 +430,11 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
                         inverse_dft_embedding_matrix(n, m), kind="qft")
         placements.append(plc)
         qft_cnots += plc.cnots
-        breakdown.append({"kind": "qft", "p": int(m), "q": int(n),
-                          "cnots": plc.cnots,
-                          "targets": [int(w) for w in targets]})
         for j, w in enumerate(targets):
             wire_label[w] = (d, j)
     return _label_ordered(placements, wire_label, CostReport(
         circ.cost.cnot_count, circ.cost.depth + n,
-        circ.cost.qft_cnots + qft_cnots, breakdown))
+        circ.cost.qft_cnots + qft_cnots))
 
 
 def fsl_baseline_cost(D: int, n: int, m: int) -> CostReport:
@@ -457,6 +444,4 @@ def fsl_baseline_cost(D: int, n: int, m: int) -> CostReport:
         raise ParameterError("D, n, m must be positive")
     prep = 1 << (m * D)
     qft = (m * D) * (m * D - 1) // 2
-    breakdown = [{"kind": "prep", "p": 0, "q": m * D, "cnots": prep},
-                 {"kind": "qft", "wires": m * D, "cnots": qft}]
-    return CostReport(prep, prep + n, qft_cnots=qft, breakdown=breakdown)
+    return CostReport(prep, prep + n, qft_cnots=qft)

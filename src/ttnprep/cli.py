@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scaling
-from .errors import ConfigError, TtnError, VerificationError
+from .errors import ConfigError, TtnError
 from .fourier import FourierEvaluator, GridSpec
 from .gaussian import (Bipartition, canonical_correlations,
                        closed_form_rank_bound, make_covariance, required_bond)
@@ -35,6 +36,26 @@ EXIT_VERIFICATION = 4
 
 BENCH_COLUMNS = ("D", "n", "m", "chi", "sigma_max", "seed", "ledger_f",
                  "sim_f", "cnot", "depth")
+
+
+def _is(kind):
+    # bool is an int in Python, but a JSON true is no number here
+    return lambda x: isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _list_of(ok, size=None):
+    return lambda x: (isinstance(x, (list, tuple)) and all(map(ok, x))
+                      and size in (None, len(x)))
+
+
+# the JSON type of each field that the range checks and the commands rely
+# on; a field whose default is None may also be None
+_INT, _REAL = _is(int), _is((int, float))
+_FIELD_TYPES = {"dim": _INT, "n": _INT, "m": _INT, "chi": _INT,
+                "chi_prime": _INT, "sweeps": _INT, "jobs": _INT, "box": _REAL,
+                "seeds": _list_of(_INT), "chis": _list_of(_INT),
+                "eps": _list_of(_REAL), "tree": _list_of(_list_of(_INT, 2)),
+                "outdir": _is(str)}
 
 
 @dataclass
@@ -60,6 +81,12 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            ok = _FIELD_TYPES.get(f.name)
+            if ok and not ok(value) and not (value is None
+                                             and f.default is None):
+                raise ConfigError(f"{f.name} has the wrong type: {value!r}")
         if self.dim < 1 or self.n < 1 or not 1 <= self.m <= self.n:
             raise ConfigError(
                 f"bad grid: dim={self.dim} n={self.n} m={self.m}")
@@ -73,6 +100,8 @@ class RunConfig:
             raise ConfigError(f"unknown structure policy {self.structure!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
         if not isinstance(self.generator, dict) or "kind" not in self.generator:
             raise ConfigError("generator must be a mapping with a kind")
 
@@ -252,8 +281,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _bench_one(args) -> list[dict]:
-    cfg_data, seed = args
-    cfg = RunConfig(**cfg_data)
+    cfg, seed = args
     rows, _ = scaling.fidelity_study(
         cfg.chis or [cfg.chi], [seed], D=cfg.dim, n=cfg.n, m=cfg.m,
         sigma_max=cfg.generator.get("sigma_max", 0.2), mode=cfg.mode,
@@ -263,9 +291,11 @@ def _bench_one(args) -> list[dict]:
 
 
 def _pool_map(fn, work, jobs: int):
-    if jobs <= 1:
+    # the pool forks every worker at its first submit, so size it to the work
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, work))
 
 
@@ -274,9 +304,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     if cfg.generator["kind"] != "random":
         raise ConfigError("bench expects the random generator")
     out = Path(cfg.outdir)
-    cfg_data = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    results = _pool_map(_bench_one, [(cfg_data, s) for s in cfg.seeds],
-                        cfg.jobs)
+    results = _pool_map(_bench_one, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     rows = [r for chunk in results for r in chunk]
     table = [{"D": r["dim"], "n": r["n"], "m": r["m"], "chi": r["chi"],
               "sigma_max": cfg.generator.get("sigma_max", 0.2),
@@ -297,8 +325,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def _trial_one(args) -> list[dict]:
-    cfg_data, seed = args
-    cfg = RunConfig(**cfg_data)
+    cfg, seed = args
     rows, _ = scaling.recovery_study(
         cfg.dim, cfg.chis or [cfg.chi], [seed],
         sigma=cfg.generator.get("sigma", 3.0), n=cfg.n, box=cfg.box,
@@ -311,9 +338,7 @@ def cmd_structure_trial(cfg: RunConfig) -> int:
     if cfg.generator["kind"] != "tree":
         raise ConfigError("structure-trial expects the tree generator")
     out = Path(cfg.outdir)
-    cfg_data = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    results = _pool_map(_trial_one, [(cfg_data, s) for s in cfg.seeds],
-                        cfg.jobs)
+    results = _pool_map(_trial_one, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     rows = [r for chunk in results for r in chunk]
     _write_csv(out / "recovery.csv",
                ("dim", "seed", "chi", "recovered", "reconnections"), rows)
@@ -388,18 +413,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        overrides = {
-            "dim": args.dim, "n": args.n, "box": args.box, "m": args.m,
-            "chi": args.chi, "chi_prime": args.chi_prime,
-            "sweeps": args.sweeps, "mode": args.mode,
-            "structure": args.structure, "outdir": args.outdir,
-            "jobs": args.jobs,
-            "seeds": _parse_seeds(args.seeds) if args.seeds else None,
-            "chis": ([int(c) for c in args.chis.split(",")]
-                     if args.chis else None),
-            "eps": ([float(e) for e in args.eps.split(",")]
-                    if args.eps else None),
-        }
+        try:
+            overrides = {
+                "dim": args.dim, "n": args.n, "box": args.box, "m": args.m,
+                "chi": args.chi, "chi_prime": args.chi_prime,
+                "sweeps": args.sweeps, "mode": args.mode,
+                "structure": args.structure, "outdir": args.outdir,
+                "jobs": args.jobs,
+                "seeds": _parse_seeds(args.seeds) if args.seeds else None,
+                "chis": ([int(c) for c in args.chis.split(",")]
+                         if args.chis else None),
+                "eps": ([float(e) for e in args.eps.split(",")]
+                        if args.eps else None),
+            }
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse a flag: {exc}") from exc
         if args.kind or args.param:
             gen = dict(_parse_params(args.param))
             gen["kind"] = args.kind or "random"
@@ -409,9 +437,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except TtnError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Split by how the CLI reports them: configuration problems exit with 2,
-numerical failures with 3, verification failures with 4.
+numerical failures with 3. Exit 4, a verification gap, raises nothing.
 """
 
 # Largest register held as a dense array anywhere in the package: 24 qubits,
@@ -66,7 +66,3 @@ class ShapeError(NumericalError):
 class CircuitValidityError(NumericalError):
     """A placement list is not a valid isometric circuit."""
 
-
-class VerificationError(TtnError):
-    """An end-to-end check failed: ledger vs simulation disagreement or
-    a fidelity bound violation."""

@@ -1,6 +1,6 @@
 """Tree topologies: the connectivity skeleton of a tree tensor network,
 plus utilities for labeled trees (random generation, enumeration,
-distances, canonical forms).
+distances); a tree is compared by its splits.
 
 Node ids are small ints. Physical legs carry hashable labels; the label
 set doubles as the variable index set of the distribution being encoded.
@@ -114,6 +114,19 @@ class TreeTopology:
     def bipartitions(self) -> list[tuple[tuple[int, int], frozenset, frozenset]]:
         return [(b, *self.bipartition(b)) for b in self.bonds]
 
+    def splits(self) -> frozenset[frozenset]:
+        """The leaf-labeled tree as its set of splits: for each bond with
+        at least two labels on both sides, the side without the smallest
+        label. Over one label set, two topologies have the same splits
+        exactly when they realize the same unrooted tree (Buneman, 1971).
+        Node ids, bond-only pendant nodes and pass-through nodes do not
+        change the set; a node that carries several labels reads as a
+        star over them."""
+        labels = self.labels()
+        return frozenset(right if labels[0] in left else left
+                         for _, left, right in self.bipartitions()
+                         if min(len(left), len(right)) >= 2)
+
     @classmethod
     def mps(cls, labels: Sequence[Label], dims: Sequence[int] | int) -> "TreeTopology":
         """Path topology: node i carries physical label labels[i]."""
@@ -224,57 +237,6 @@ def tree_distances(edges: Sequence[tuple[int, int]]) -> np.ndarray:
     if (dist < 0).any():
         raise ParameterError("edge list is not a connected tree")
     return dist
-
-
-def _suppressed_adjacency(edges: Sequence[tuple[int, int]],
-                          labels: dict[int, Label]) -> dict[int, set]:
-    # prune unlabeled degree-1 vertices, contract through unlabeled
-    # degree-2 vertices; tensor-network artifacts (pendant tensors,
-    # pass-through tensors) then cannot affect tree comparisons
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for n in labels:
-        adj.setdefault(n, set())
-    changed = True
-    while changed:
-        changed = False
-        for n in list(adj):
-            if n in labels:
-                continue
-            deg = len(adj[n])
-            if deg == 1:
-                (nb,) = adj[n]
-                adj[nb].discard(n)
-                del adj[n]
-                changed = True
-            elif deg == 2:
-                a, b = adj[n]
-                adj[a].discard(n)
-                adj[b].discard(n)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[n]
-                changed = True
-    return adj
-
-
-def canonical_leaf_tree(edges: Sequence[tuple[int, int]],
-                        labels: dict[int, Label]) -> tuple:
-    """Canonical form of a leaf-labeled tree, invariant under node
-    renaming and under pendant or pass-through tensor artifacts.  The
-    form is the minimum over all rootings of a recursive
-    (label, sorted children) encoding.
-    """
-    adj = _suppressed_adjacency(edges, labels)
-
-    def encode(node: int, parent: int | None) -> tuple:
-        lab = repr(labels[node]) if node in labels else ""
-        kids = sorted(encode(c, node) for c in adj[node] if c != parent)
-        return (lab, tuple(kids))
-
-    return min(encode(r, None) for r in adj)
 
 
 def caterpillar_leaf_tree(num_leaves: int) -> list[tuple[int, int]]:

@@ -236,21 +236,6 @@ class TreeTensorNetwork:
                        for e, ed in self.edges.items() if ed.is_phys)
         return TreeTopology(bonds, leaves)
 
-    def leaf_tree(self) -> tuple[list[tuple[int, int]], dict[int, Hashable]]:
-        """The network as a leaf-labeled tree: tensor nodes plus one labeled
-        vertex per physical leg, for canonical-form comparison."""
-        edges = []
-        labels = {}
-        nxt = max(self.tensors) + 1
-        for e, ed in self.edges.items():
-            if ed.is_phys:
-                edges.append((ed.nodes[0], nxt))
-                labels[nxt] = ed.label
-                nxt += 1
-            else:
-                edges.append(ed.nodes)
-        return edges, labels
-
     # -- gauge and truncation ----------------------------------------------
 
     def _push(self, u: int, e: int) -> None:

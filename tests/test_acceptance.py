@@ -272,15 +272,15 @@ def test_property_cost_recomputation():
         circ, cost = synthesize(net)
         cnots = 0
         depth_at = {}
-        for row in cost.breakdown:
-            if row.get("kind") == "qft":
+        for plc in circ.placements:
+            if plc.kind == "qft":
                 continue
-            p, q = row["p"], row["q"]
+            p, q = plc.in_qubits, len(plc.targets)
             cnots += 1 << (p + q)
-            start = max((depth_at.get(w, 0) for w in row["targets"][:p]),
+            start = max((depth_at.get(w, 0) for w in plc.targets[:p]),
                         default=0)
             total = start + (1 << (p + q))
-            for w in row["targets"]:
+            for w in plc.targets:
                 depth_at[w] = total
         assert cnots == cost.cnot_count
         assert max(depth_at.values()) == cost.depth

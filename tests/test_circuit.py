@@ -176,20 +176,20 @@ def test_single_node_two_qubit_synthesis():
     assert cost.depth == 4
 
 
-def _recompute(breakdown):
+def _recompute(placements):
     """Replay the pricing rules: total CNOTs and longest root-to-leaf path."""
     cnots = 0
     depth_at: dict[int, int] = {}
     best = 0
-    for row in breakdown:
-        if row.get("kind") == "qft":
+    for plc in placements:
+        if plc.kind == "qft":
             continue
-        cnots += row["cnots"]
-        assert row["cnots"] == 2 ** (row["p"] + row["q"])
-        ins = row["targets"][:row["p"]]
+        cnots += plc.cnots
+        assert plc.cnots == 2 ** (plc.in_qubits + len(plc.targets))
+        ins = plc.targets[:plc.in_qubits]
         start = max((depth_at.get(w, 0) for w in ins), default=0)
-        total = start + row["cnots"]
-        for w in row["targets"]:
+        total = start + plc.cnots
+        for w in plc.targets:
             depth_at[w] = total
         best = max(best, total)
     return cnots, best
@@ -198,7 +198,7 @@ def _recompute(breakdown):
 def test_cost_recompute_on_path_tree():
     net = random_mps(4, 2, 2, np.random.default_rng(40))
     circ, cost = synthesize(net)
-    cnots, depth = _recompute(cost.breakdown)
+    cnots, depth = _recompute(circ.placements)
     assert cost.cnot_count == cnots
     assert cost.depth == depth
     # a path visits every node, so depth equals the full cnot count
@@ -212,7 +212,7 @@ def test_cost_recompute_on_branching_tree():
     topo = TreeTopology.from_leaf_tree(((0, 3), (1, 3), (2, 3)), 3, 2)
     net = from_dense(t, topo)
     circ, cost = synthesize(net)
-    cnots, depth = _recompute(cost.breakdown)
+    cnots, depth = _recompute(circ.placements)
     assert cost.cnot_count == cnots
     assert cost.depth == depth
     assert cost.depth < cost.cnot_count  # siblings run in parallel
@@ -224,7 +224,7 @@ def test_synthesis_pads_odd_bonds_to_isometries():
     assert 3 in net.bond_dims().values()
     circ, cost = synthesize(net)
     circ.validate()  # every placement isometric despite padding
-    cnots, depth = _recompute(cost.breakdown)
+    cnots, depth = _recompute(circ.placements)
     assert cost.cnot_count == cnots and cost.depth == depth
 
 
@@ -261,11 +261,11 @@ def test_with_inverse_dft_leaves_its_input_unchanged():
     # two dimensions, so appending fresh bits renumbers the wires
     circ, _ = synthesize(qubitize(random_mps(2, 4, 2,
                                              np.random.default_rng(45))))
-    before = [list(row["targets"]) for row in circ.cost.breakdown]
+    before = [plc.targets for plc in circ.placements]
     full = with_inverse_dft(circ, 3)
-    assert [row["targets"] for row in circ.cost.breakdown] == before
+    assert [plc.targets for plc in circ.placements] == before
     assert full.qubits == 6
-    assert full.cost.breakdown[0]["targets"] != before[0]
+    assert full.placements[0].targets != before[0]
 
 
 def test_circuit_json_roundtrip(tmp_path):
@@ -284,7 +284,7 @@ def test_circuit_json_roundtrip(tmp_path):
 
 
 def test_cost_report_roundtrip():
-    rep = CostReport(10, 6, 3, [{"p": 1, "q": 2, "cnots": 8, "targets": [0]}])
+    rep = CostReport(10, 6, 3)
     assert CostReport.from_dict(rep.to_dict()).to_dict() == rep.to_dict()
     assert rep.total_cnots == 13
 

@@ -53,6 +53,26 @@ def test_config_validation_errors(tmp_path):
                 "--outdir", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command,flags,config", [
+    ("analyze", ("--seeds", "a:b"), {}),
+    ("analyze", ("--chis", "2,x"), {}),
+    ("analyze", ("--eps", "x"), {}),
+    ("analyze", (), {"dim": "4"}),
+    ("analyze", (), {"dim": True}),
+    ("compile", (), {"chi": 2.5}),
+    ("analyze", (), {"seeds": 3}),
+    ("analyze", (), {"eps": [0.5, "x"]}),
+    ("build", (), {"tree": [[0, 1, 2]]}),
+], ids=["seed-range", "chis", "eps", "dim-string", "dim-bool", "chi-float",
+        "seeds-int", "eps-string", "tree-triple"])
+def test_malformed_input_is_a_config_error(tmp_path, command, flags, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"generator": {"kind": "uniform", "rho": 0.3},
+                                "n": 5, "m": 3, **config}))
+    assert _run(command, "--config", str(path), *flags,
+                "--outdir", str(tmp_path)) == EXIT_CONFIG
+
+
 def test_cli_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -233,6 +253,36 @@ def test_bench_parallel_matches_serial(tmp_path):
     assert _run(*BENCH, "--outdir", str(a), "--jobs", "1") == EXIT_OK
     assert _run(*BENCH, "--outdir", str(b), "--jobs", "2") == EXIT_OK
     assert (a / "bench.csv").read_bytes() == (b / "bench.csv").read_bytes()
+
+
+def test_worker_pool_is_bounded_by_work_and_cores(tmp_path, monkeypatch):
+    import ttnprep.cli as climod
+
+    sizes = []
+
+    class SerialPool:
+        # records the pool size and runs the work in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(climod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(climod.os, "cpu_count", lambda: 3)
+    assert _run(*BENCH, "--outdir", str(tmp_path), "--jobs", "5000") == \
+        EXIT_OK
+    assert climod._pool_map(str, range(5), 5000) == list("01234")
+    assert sizes == [2, 3]
+    assert _run(*BENCH, "--outdir", str(tmp_path), "--jobs", "0") == \
+        EXIT_CONFIG
+    assert sizes == [2, 3]
 
 
 def test_bench_requires_random_generator(tmp_path):

@@ -23,7 +23,7 @@ from ttnprep.ttn import random_mps
 def _empty_circuit(qubits):
     from ttnprep.circuit import CostReport
     return QuantumCircuit(qubits, [], tuple(range(qubits)),
-                          CostReport(0, 0, 0, []))
+                          CostReport(0, 0))
 
 
 def test_empty_circuit_gives_all_zeros():
@@ -37,7 +37,7 @@ def test_single_qubit_prep():
     h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     from ttnprep.circuit import CostReport
     circ = QuantumCircuit(1, [Placement((0,), 0, h, "prep")], (0,),
-                          CostReport(2, 2, 0, []))
+                          CostReport(2, 2))
     psi = simulate(circ)
     np.testing.assert_allclose(psi.amplitudes,
                                np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-14)
@@ -66,7 +66,7 @@ def test_simulate_rejects_dirty_fresh_wire():
     circ = QuantumCircuit(
         2, [Placement((0,), 0, h, "prep"), Placement((1, 0), 0,
             np.array([[1.0], [0.0], [0.0], [0.0]]), "prep")],
-        (0, 1), CostReport(6, 6, 0, []))
+        (0, 1), CostReport(6, 6))
     with pytest.raises(CircuitValidityError):
         simulate(circ)
 
@@ -105,7 +105,7 @@ def _circuit(qubits, layout, rng):
     pls = [Placement(tuple(t), p, _isometry(rng, len(t), p), "isometry")
            for t, p in layout]
     return QuantumCircuit(qubits, pls, tuple(range(qubits)),
-                          CostReport(0, 0, 0, []))
+                          CostReport(0, 0))
 
 
 # (targets, in_qubits); inputs first, then fresh wires
@@ -168,7 +168,7 @@ def test_simulate_reads_a_clean_written_wire_as_fresh():
     circ = QuantumCircuit(3, [Placement((0,), 0, _isometry(rng, 1, 0)),
                               Placement((0, 1), 1, keep0),
                               Placement((2, 0, 1), 2, _isometry(rng, 3, 2))],
-                          (0, 1, 2), CostReport(0, 0, 0, []))
+                          (0, 1, 2), CostReport(0, 0))
     np.testing.assert_allclose(simulate(circ).amplitudes,
                                _reference_simulate(circ), rtol=0, atol=1e-12)
 
@@ -234,7 +234,7 @@ def test_dirty_fresh_wire_rejected_inside_and_across_runs(
     circ = QuantumCircuit(
         2, [Placement((0,), 0, h, "prep"), Placement((1, 0), 0,
             np.array([[1.0], [0.0], [0.0], [0.0]]), "prep")],
-        (0, 1), CostReport(6, 6, 0, []))
+        (0, 1), CostReport(6, 6))
     assert _run_lengths(circ) == runs
     with pytest.raises(CircuitValidityError):
         simulate(circ)

@@ -14,12 +14,15 @@ from ttnprep import (ParameterError, ReconnectionChoice, TreeTopology,
 from ttnprep import structopt
 from ttnprep.structopt import MAX_SWEEPS, PAIRING_NAMES, covariance_tree
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
-from ttnprep.topology import (canonical_leaf_tree, caterpillar_leaf_tree,
-                              random_leaf_tree)
+from ttnprep.topology import caterpillar_leaf_tree, random_leaf_tree
 from ttnprep.ttn import from_dense
 
 PAIRED_01_23 = ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5))
 PAIRED_02_13 = ((0, 4), (2, 4), (1, 5), (3, 5), (4, 5))
+
+
+def _splits(edges):
+    return TreeTopology.from_leaf_tree(edges, 4, 2).splits()
 
 
 def _bell_pairs_net(edges=PAIRED_01_23):
@@ -56,9 +59,7 @@ def test_bell_pairs_reconnect_to_zero_entropy():
     np.testing.assert_allclose(ent.max(), 2 * math.log(2), atol=1e-10)
     assert choice.step_fidelity == pytest.approx(1.0, abs=1e-12)
     # the new shape separates the Bell partners
-    edges, labels = net.leaf_tree()
-    assert canonical_leaf_tree(edges, labels) == \
-        canonical_leaf_tree(PAIRED_02_13, {i: i for i in range(4)})
+    assert net.topology().splits() == _splits(PAIRED_02_13)
     np.testing.assert_allclose(net.contract_to_vector(), before, atol=1e-8)
 
 
@@ -75,9 +76,7 @@ def test_product_state_tie_keeps_incumbent():
     assert choice is not None
     assert not choice.accepted
     np.testing.assert_allclose(choice.entropies, 0.0, atol=1e-10)
-    edges, labels = net.leaf_tree()
-    assert canonical_leaf_tree(edges, labels) == \
-        canonical_leaf_tree(PAIRED_01_23, {i: i for i in range(4)})
+    assert net.topology().splits() == _splits(PAIRED_01_23)
 
 
 def test_local_reconnect_skips_leaf_bonds():
@@ -102,18 +101,14 @@ def test_chain_in_natural_order_accepts_nothing():
     net = _chain_coeff_net(caterpillar_leaf_tree(4))
     net2, report = optimize_structure(net, chi=6)
     assert report["accepted_total"] == 0
-    edges, labels = net2.leaf_tree()
-    assert canonical_leaf_tree(edges, labels) == canonical_leaf_tree(
-        caterpillar_leaf_tree(4), {i: i for i in range(4)})
+    assert net2.topology().splits() == _splits(caterpillar_leaf_tree(4))
 
 
 def test_chain_recovers_from_bad_pairing():
     net = _chain_coeff_net(PAIRED_02_13)
     net2, report = optimize_structure(net, chi=6)
     assert report["accepted_total"] >= 1
-    edges, labels = net2.leaf_tree()
-    assert canonical_leaf_tree(edges, labels) == canonical_leaf_tree(
-        caterpillar_leaf_tree(4), {i: i for i in range(4)})
+    assert net2.topology().splits() == _splits(caterpillar_leaf_tree(4))
 
 
 def test_optimize_preserves_state_when_chi_ample():

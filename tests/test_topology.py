@@ -1,16 +1,15 @@
-"""Tree shapes: construction, bipartitions, enumeration, canonical forms."""
+"""Tree shapes: construction, bipartitions, enumeration, splits."""
 
 import numpy as np
 import pytest
 
 from ttnprep import ParameterError, TreeTopology
-from ttnprep.topology import (canonical_leaf_tree, caterpillar_leaf_tree,
-                              enumerate_leaf_trees,
+from ttnprep.topology import (caterpillar_leaf_tree, enumerate_leaf_trees,
                               random_leaf_tree, tree_distances, walk)
 
 
-def _idlabels(num_leaves):
-    return {i: i for i in range(num_leaves)}
+def _shape(edges, num_leaves):
+    return TreeTopology.from_leaf_tree(edges, num_leaves, 2).splits()
 
 
 def test_mps_topology_shape():
@@ -60,8 +59,7 @@ def test_from_leaf_tree_numbers_one_tree_one_way():
     for edges, L in cases:
         topo = TreeTopology.from_leaf_tree(edges, L, 2)
         assert TreeTopology.from_leaf_tree(topo.bonds, L, 2) == topo
-        assert canonical_leaf_tree(topo.bonds, _idlabels(L)) == \
-            canonical_leaf_tree(edges, _idlabels(L))
+        assert _shape(topo.bonds, L) == _shape(edges, L)
 
 
 def test_from_leaf_tree_keeps_the_caterpillar_as_written():
@@ -99,7 +97,7 @@ def test_enumeration_counts_match_double_factorial():
     for leaves, count in [(2, 1), (3, 1), (4, 3), (5, 15), (6, 105)]:
         trees = enumerate_leaf_trees(leaves)
         assert len(trees) == count
-        forms = {canonical_leaf_tree(t, _idlabels(leaves)) for t in trees}
+        forms = {_shape(t, leaves) for t in trees}
         assert len(forms) == count  # all distinct shapes
 
 
@@ -107,51 +105,70 @@ def test_random_leaf_tree_valid_and_seeded():
     edges = random_leaf_tree(6, np.random.default_rng(3))
     # 6 leaves + 4 internal nodes, 9 edges
     assert len(edges) == 9
-    assert canonical_leaf_tree(edges, _idlabels(6)) in {
-        canonical_leaf_tree(t, _idlabels(6)) for t in enumerate_leaf_trees(6)}
+    assert _shape(edges, 6) in {
+        _shape(t, 6) for t in enumerate_leaf_trees(6)}
     again = random_leaf_tree(6, np.random.default_rng(3))
-    assert canonical_leaf_tree(edges, _idlabels(6)) == \
-        canonical_leaf_tree(again, _idlabels(6))
+    assert _shape(edges, 6) == _shape(again, 6)
 
 
 def test_random_leaf_tree_covers_all_shapes():
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(400):
-        seen.add(canonical_leaf_tree(random_leaf_tree(4, rng), _idlabels(4)))
+        seen.add(_shape(random_leaf_tree(4, rng), 4))
     assert len(seen) == 3
 
 
 def test_caterpillar_shape():
-    got = canonical_leaf_tree(caterpillar_leaf_tree(5), _idlabels(5))
+    got = _shape(caterpillar_leaf_tree(5), 5)
     # hand-built caterpillar: leaves hang off a spine in label order
     spine = [(0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (4, 7)]
-    assert got == canonical_leaf_tree(spine, _idlabels(5))
+    assert got == _shape(spine, 5)
     # permuting the middle leaves gives a different labeled shape
     swapped = [(0, 5), (2, 5), (5, 6), (1, 6), (6, 7), (3, 7), (4, 7)]
-    assert got != canonical_leaf_tree(swapped, _idlabels(5))
+    assert got != _shape(swapped, 5)
 
 
 def test_canonical_form_invariant_under_relabeling_internals():
     edges = ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5))
     shuffled = ((0, 9), (1, 9), (2, 7), (3, 7), (9, 7))
-    assert canonical_leaf_tree(edges, _idlabels(4)) == \
-        canonical_leaf_tree(shuffled, _idlabels(4))
+    assert _shape(edges, 4) == _shape(shuffled, 4)
 
 
 def test_canonical_form_distinguishes_leaf_pairings():
     a = ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5))  # (01)(23)
     b = ((0, 4), (2, 4), (1, 5), (3, 5), (4, 5))  # (02)(13)
-    assert canonical_leaf_tree(a, _idlabels(4)) != \
-        canonical_leaf_tree(b, _idlabels(4))
+    assert _shape(a, 4) != _shape(b, 4)
 
 
 def test_canonical_form_suppresses_degree_two_internals():
     # a redundant pass-through node changes nothing
     plain = ((0, 3), (1, 3), (2, 3))
     padded = ((0, 3), (1, 3), (2, 9), (9, 3))
-    assert canonical_leaf_tree(plain, _idlabels(3)) == \
-        canonical_leaf_tree(padded, _idlabels(3))
+    assert _shape(plain, 3) == _shape(padded, 3)
+
+
+def test_splits_ignore_node_ids_and_bond_only_nodes():
+    # (01)(23) with leaf 4 on the middle: leaf i on node i, internals 5-7
+    leaves = tuple((i, i, 2) for i in range(5))
+    bonds = ((0, 5), (1, 5), (5, 7), (4, 7), (7, 6), (2, 6), (3, 6))
+    plain = TreeTopology(bonds, leaves).splits()
+    assert plain == {frozenset({2, 3}), frozenset({2, 3, 4})}
+    # a bond-only pendant node 8 hanging off node 7
+    assert TreeTopology(bonds + ((7, 8),), leaves).splits() == plain
+    # a pass-through node 8 on the bond between 5 and 7
+    through = ((0, 5), (1, 5), (5, 8), (8, 7), (4, 7), (7, 6), (2, 6),
+               (3, 6))
+    assert TreeTopology(through, leaves).splits() == plain
+    # node 5 carrying labels 0 and 1 itself reads as the cherry (01)
+    merged = ((5, 0, 2), (5, 1, 2), (2, 2, 2), (3, 3, 2), (4, 4, 2))
+    assert TreeTopology(bonds[2:], merged).splits() == plain
+    # with three labels or fewer no bond has two on both sides
+    for D in (1, 2, 3):
+        assert TreeTopology.mps(list(range(D)), 2).splits() == set()
+        assert _shape(caterpillar_leaf_tree(D), D) == set()
+    star = TreeTopology((), ((0, "a", 2), (0, "b", 2), (0, "c", 2)))
+    assert star.splits() == set()
 
 
 def test_tree_distances_path():
