@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -330,7 +330,6 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
     bond_wires: dict[int, list[int]] = {}
     wire_label: dict[int, Hashable] = {}
     placements = []
-    node_cost = {}
     for u, _, pe in order:
         t = work.tensors[u]
         ax = work.axes[u]
@@ -369,31 +368,32 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
         mat = _complete_isometry(mat, t2.shape[0])
         kind = "prep" if pe is None else "isometry"
         placements.append(Placement(tuple(targets), p, mat, kind))
-        node_cost[u] = 1 << (p + q)
 
     # deepest cost sum below each node, children first; the root's
     # parent key None ends up holding the circuit depth
     below: dict = {}
-    for u, parent, _ in reversed(order):
+    for (u, parent, _), plc in zip(reversed(order), reversed(placements)):
         below[parent] = max(below.get(parent, 0),
-                            node_cost[u] + below.get(u, 0))
+                            plc.cnots + below.get(u, 0))
 
     if len(wire_label) != next_wire:
         raise ShapeError("wire bookkeeping lost a physical leg")
-    circ = _label_ordered(placements, wire_label, CostReport(
-        sum(node_cost.values()), below[None]))
+    circ = _label_ordered(placements, wire_label, below[None])
     return circ, circ.cost
 
 
 def _label_ordered(placements: list, wire_label: dict,
-                   cost: CostReport) -> QuantumCircuit:
+                   depth: int) -> QuantumCircuit:
     """The circuit with its wires renumbered so that wire i carries the
-    i-th smallest label."""
+    i-th smallest label, priced from its placements: qft placements in
+    qft_cnots, every other one in cnot_count."""
     perm = {w: i for i, (_, w) in
             enumerate(sorted((lab, w) for w, lab in wire_label.items()))}
     placements = [Placement(tuple(perm[w] for w in plc.targets),
                             plc.in_qubits, plc.matrix, plc.kind)
                   for plc in placements]
+    qft = sum(plc.cnots for plc in placements if plc.kind == "qft")
+    cost = CostReport(sum(plc.cnots for plc in placements) - qft, depth, qft)
     circ = QuantumCircuit(len(perm), placements,
                           tuple(sorted(wire_label.values())), cost)
     circ.validate()
@@ -415,7 +415,6 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
     placements = list(circ.placements)
     wire_label = dict(enumerate(circ.labels))
     next_wire = circ.qubits
-    qft_cnots = 0
     for d in sorted(by_dim):
         js = by_dim[d]
         m = len(js)
@@ -426,15 +425,12 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
         targets = [js[j] for j in range(m)]
         targets += list(range(next_wire, next_wire + n - m))
         next_wire += n - m
-        plc = Placement(tuple(targets), m,
-                        inverse_dft_embedding_matrix(n, m), kind="qft")
-        placements.append(plc)
-        qft_cnots += plc.cnots
+        placements.append(Placement(tuple(targets), m,
+                                    inverse_dft_embedding_matrix(n, m),
+                                    kind="qft"))
         for j, w in enumerate(targets):
             wire_label[w] = (d, j)
-    return _label_ordered(placements, wire_label, CostReport(
-        circ.cost.cnot_count, circ.cost.depth + n,
-        circ.cost.qft_cnots + qft_cnots))
+    return _label_ordered(placements, wire_label, circ.cost.depth + n)
 
 
 def fsl_baseline_cost(D: int, n: int, m: int) -> CostReport:

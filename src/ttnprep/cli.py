@@ -22,8 +22,9 @@ import numpy as np
 from . import scaling
 from .errors import ConfigError, TtnError
 from .fourier import FourierEvaluator, GridSpec
-from .gaussian import (Bipartition, canonical_correlations,
-                       closed_form_rank_bound, make_covariance, required_bond)
+from .gaussian import (_INT, _REAL, Bipartition, _is, _list_of,
+                       canonical_correlations, closed_form_rank_bound,
+                       make_covariance, required_bond)
 from .sim import (MODES, STRUCTURE_POLICIES, compile_circuit, interpolate,
                   resolve_chi_prime, verify_pipeline)
 from .structopt import PAIRING_NAMES, optimize_structure
@@ -38,19 +39,8 @@ BENCH_COLUMNS = ("D", "n", "m", "chi", "sigma_max", "seed", "ledger_f",
                  "sim_f", "cnot", "depth")
 
 
-def _is(kind):
-    # bool is an int in Python, but a JSON true is no number here
-    return lambda x: isinstance(x, kind) and not isinstance(x, bool)
-
-
-def _list_of(ok, size=None):
-    return lambda x: (isinstance(x, (list, tuple)) and all(map(ok, x))
-                      and size in (None, len(x)))
-
-
 # the JSON type of each field that the range checks and the commands rely
 # on; a field whose default is None may also be None
-_INT, _REAL = _is(int), _is((int, float))
 _FIELD_TYPES = {"dim": _INT, "n": _INT, "m": _INT, "chi": _INT,
                 "chi_prime": _INT, "sweeps": _INT, "jobs": _INT, "box": _REAL,
                 "seeds": _list_of(_INT), "chis": _list_of(_INT),
@@ -87,11 +77,7 @@ class RunConfig:
             if ok and not ok(value) and not (value is None
                                              and f.default is None):
                 raise ConfigError(f"{f.name} has the wrong type: {value!r}")
-        if self.dim < 1 or self.n < 1 or not 1 <= self.m <= self.n:
-            raise ConfigError(
-                f"bad grid: dim={self.dim} n={self.n} m={self.m}")
-        if self.box <= 0:
-            raise ConfigError("box must be positive")
+        self.grid  # GridSpec owns the grid's rules; its ParameterError exits 2
         if self.chi < 1 or (self.chi_prime is not None and self.chi_prime < 1):
             raise ConfigError("bond limits must be >= 1")
         if self.mode not in MODES:
@@ -111,8 +97,6 @@ class RunConfig:
 
     def covariance(self, seed: int):
         params = {k: v for k, v in self.generator.items() if k != "kind"}
-        if "edges" in params:
-            params["edges"] = [tuple(e) for e in params["edges"]]
         return make_covariance(self.generator["kind"], self.dim, seed=seed,
                                **params)
 
@@ -185,7 +169,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         corrs = canonical_correlations(cov, cut)
         entry = {"correlations": corrs.tolist(), "bonds": {}}
         for eps in cfg.eps:
-            bond = required_bond(corrs, float(eps)) if corrs.size else 1
+            bond = required_bond(corrs, float(eps))
             bound = closed_form_rank_bound(corrs, float(eps))
             entry["bonds"][str(eps)] = bond
             rows.append({"cut": j, "eps": float(eps), "bond": bond,

@@ -18,7 +18,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,9 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
 
     Randomized kinds resample up to 1000 times before raising
     GenerationError. Deterministic kinds raise ParameterError if the
-    requested parameters are not positive definite.
+    requested parameters are not positive definite. Numbers must be real
+    and not bool, rank an integer and edges a list of integer pairs, or
+    ParameterError is raised.
     """
     if dim < 1:
         raise ParameterError("dim must be >= 1")
@@ -145,7 +148,8 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         return CovarianceMatrix(rho ** np.abs(idx[:, None] - idx[None, :]))
 
     if kind == "tree":
-        edges = _required(params, kind, "edges")
+        edges = _required(params, kind, "edges", _list_of(_list_of(_INT, 2)),
+                          "a list of integer pairs")
         sigma = float(_required(params, kind, "sigma"))
         _no_extra(params)
         if sigma <= 0:
@@ -172,7 +176,7 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
         raise GenerationError("exp-decay-chain: no PD sample within budget")
 
     if kind == "stacked-chain":
-        rank = int(_required(params, kind, "rank"))
+        rank = int(_required(params, kind, "rank", _INT, "an integer"))
         sigma_max = float(_required(params, kind, "sigma_max"))
         _no_extra(params)
         if rank < 1 or rank > dim:
@@ -205,10 +209,29 @@ def make_covariance(kind: str, dim: int, *, seed: int | None = None,
     raise ParameterError(f"unknown covariance kind {kind!r}")
 
 
-def _required(params: dict, kind: str, name: str):
+def _is(kind):
+    # bool is an int in Python, but True is no number here
+    return lambda x: isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _list_of(ok, size=None):
+    return lambda x: (isinstance(x, (list, tuple)) and all(map(ok, x))
+                      and size in (None, len(x)))
+
+
+# the value types that make_covariance and the CLI's run config accept
+_INT, _REAL = _is(numbers.Integral), _is(numbers.Real)
+
+
+def _required(params: dict, kind: str, name: str, ok=_REAL,
+              what: str = "a real number"):
     if name not in params:
         raise ParameterError(f"{kind} covariance needs the parameter {name!r}")
-    return params.pop(name)
+    value = params.pop(name)
+    if not ok(value):
+        raise ParameterError(
+            f"{kind} parameter {name!r} must be {what}, got {value!r}")
+    return value
 
 
 def _no_extra(params: dict) -> None:
@@ -284,14 +307,11 @@ def pair_spectrum(rho: float) -> SchmidtSpectrum:
     """
     if not 0.0 <= rho < 1.0:
         raise ParameterError("rho must lie in [0, 1)")
-    if rho == 0.0:
+    q = pair_ratio(rho)
+    if q == 0.0:
         return SchmidtSpectrum(np.array([1.0]), 0.0)
-    K = 1.0 / math.sqrt(1.0 - rho * rho)
-    lam0 = 2.0 / (K + 1.0)
-    q = (K - 1.0) / (K + 1.0)
     n = max(1, min(PAIR_TERMS, math.ceil(math.log(PAIR_CUTOFF) / math.log(q))))
-    values = lam0 * q ** np.arange(n)
-    return SchmidtSpectrum(values, q ** n)
+    return SchmidtSpectrum((1.0 - q) * q ** np.arange(n), q ** n)
 
 
 def pair_ratio(rho: float) -> float:

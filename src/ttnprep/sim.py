@@ -239,10 +239,9 @@ def interpolate(ev: FourierEvaluator, topo: TreeTopology, chi_prime: int,
     box, so the evaluation count, the peak magnitude behind the relative
     residual and the pivots belong to this build alone.
     """
-    box = BlackBoxTensor.from_fourier(ev)
-    net, info = tci_build(box, topo, chi=chi_prime, sweeps=sweeps, seed=seed)
-    residual = info["residual"] / max(box.max_abs, 1e-300)
-    return net, {"tci_evals": info["evals"], "tci_residual": residual,
+    net, info = tci_build(BlackBoxTensor.from_fourier(ev), topo,
+                          chi=chi_prime, sweeps=sweeps, seed=seed)
+    return net, {"tci_evals": info["evals"], "tci_residual": info["residual"],
                  "tci_converged": info["converged"]}
 
 

@@ -277,12 +277,12 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
     Sweeps run until one adds no pivot: every growth step found no
     residual entry above TCI_TOL * f.max_abs, or its bond had no room to
     grow. The network is then assembled once and its residual taken once,
-    as the largest error on the probe set.
+    as the largest error on the probe set relative to f.max_abs.
 
     Returns the assembled network (exact on all pivot crosses, not yet
     canonical) and an info dict with the evaluation count (f.evals), the
-    probe residual, whether it is within tolerance, the sweeps run and
-    the final pivots.
+    relative probe residual, whether it is within TCI_TOL, the sweeps run
+    and the final pivots.
 
     f need not be normalized: the rank cut, the growth test and the
     tolerance are all relative to f.max_abs, so scaling f by a power of
@@ -310,9 +310,10 @@ def tci_build(f: BlackBoxTensor, topo: TreeTopology, chi: int,
         if not any(added):
             break
     net = _assemble(f, state)
-    resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals)))
+    resid = float(np.max(np.abs(net.evaluate(probe_set) - probe_vals))
+                  / max(f.max_abs, 1e-300))
     info = {"evals": f.evals, "residual": resid,
-            "converged": resid <= TCI_TOL * max(f.max_abs, 1e-300),
+            "converged": resid <= TCI_TOL,
             "sweeps_run": sweeps_run, "pivots": state.pivots,
             "bond_dims": {b: state.rank(b) for b in topo.bonds}}
     return net, info

@@ -8,7 +8,6 @@ set doubles as the variable index set of the distribution being encoded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -228,6 +227,8 @@ def tree_distances(edges: Sequence[tuple[int, int]]) -> np.ndarray:
     nodes = set()
     for u, v in edges:
         nodes.update((u, v))
+    if not nodes or min(nodes) < 0:
+        raise ParameterError("edge list is not a tree over nodes 0..V-1")
     V = max(nodes) + 1
     adj = _adjacency(range(V), edges)
     dist = np.full((V, V), -1, dtype=int)

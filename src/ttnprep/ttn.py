@@ -439,25 +439,13 @@ class TreeTensorNetwork:
         for u, _, pe in reversed(walk(root, self.neighbors)):
             t = self.tensors[u]
             legs = list(self.axes[u])
-            # fix physical axes with advanced indexing (batch axis in front)
-            sel: list = [slice(None)] * t.ndim
-            got_phys = False
-            for i, e in enumerate(self.axes[u]):
-                ed = self.edges[e]
-                if ed.is_phys:
-                    sel[i] = assignments[:, col[ed.label]]
-                    got_phys = True
-            if got_phys:
-                phys_pos = [i for i, e in enumerate(legs)
-                            if self.edges[e].is_phys]
-                t = t[tuple(sel)]
-                # numpy puts the broadcast batch axis at the leftmost
-                # advanced slot when the advanced indices are adjacent,
-                # else in front; normalize to batch-first
-                contiguous = phys_pos == list(range(phys_pos[0],
-                                                    phys_pos[0] + len(phys_pos)))
-                if contiguous and phys_pos[0] != 0:
-                    t = np.moveaxis(t, phys_pos[0], 0)
+            phys_pos = [i for i, e in enumerate(legs) if self.edges[e].is_phys]
+            if phys_pos:
+                # physical axes to the front, then one advanced index over
+                # them puts the batch axis first
+                t = np.moveaxis(t, phys_pos, range(len(phys_pos)))[tuple(
+                    assignments[:, col[self.edges[legs[i]].label]]
+                    for i in phys_pos)]
                 legs = [x for x in legs if not self.edges[x].is_phys]
             elif any(e in subs for e in legs):
                 i = next(i for i, e in enumerate(legs) if e in subs)
@@ -475,19 +463,6 @@ class TreeTensorNetwork:
                 legs.pop(i)
             subs[pe] = t  # (batch, d_pe) or (batch,)
         return subs[None].reshape(assignments.shape[0])
-
-    def fidelity(self, other) -> float:
-        """Squared overlap with another network or a dense tensor/vector,
-        both sides normalized."""
-        a = self.contract_to_vector()
-        if isinstance(other, TreeTensorNetwork):
-            b = other.contract_to_vector()
-        else:
-            b = np.asarray(other).ravel()
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0 or nb == 0:
-            raise NormalizationError("zero state has no fidelity")
-        return float(abs(np.vdot(a, b)) ** 2 / (na * nb) ** 2)
 
     # -- editing -----------------------------------------------------------
 
@@ -542,8 +517,7 @@ class TreeTensorNetwork:
 
     def save(self, path: str | Path) -> None:
         """Binary container: magic, header length, JSON header, row-major
-        tensor payloads; plus a JSON topology sidecar next to it."""
-        path = Path(path)
+        tensor payloads."""
         node_order = sorted(self.tensors)
         header = {
             "dtype": "complex128",
@@ -564,17 +538,6 @@ class TreeTensorNetwork:
             for u in node_order:
                 fh.write(np.ascontiguousarray(
                     self.tensors[u], dtype=complex).tobytes())
-        sidecar = {
-            "bonds": [list(ed.nodes) for ed in self.edges.values()
-                      if not ed.is_phys],
-            "leaves": [[ed.nodes[0], label_to_json(ed.label),
-                        self.edge_dim(e)]
-                       for e, ed in sorted(self.edges.items()) if ed.is_phys],
-            "bond_dims": {str(e): self.edge_dim(e)
-                          for e, ed in self.edges.items() if not ed.is_phys},
-        }
-        path.with_suffix(path.suffix + ".topology.json").write_text(
-            json.dumps(sidecar, indent=1))
 
     @classmethod
     def load(cls, path: str | Path) -> "TreeTensorNetwork":

@@ -257,6 +257,19 @@ def test_with_inverse_dft_pricing():
     assert kinds.count("qft") == 1
 
 
+def test_cost_recompute_with_inverse_dft():
+    # one pricing site: the coefficient placements give cnot_count and the
+    # qft placements qft_cnots, whatever order the wires end up in
+    circ, cost = synthesize(qubitize(random_mps(3, 4, 3,
+                                                np.random.default_rng(46))))
+    full = with_inverse_dft(circ, 4)
+    cnots, depth = _recompute(full.placements)
+    assert full.cost.cnot_count == cnots == cost.cnot_count
+    assert full.cost.depth == depth + 4 == cost.depth + 4
+    assert full.cost.qft_cnots == sum(plc.cnots for plc in full.placements
+                                      if plc.kind == "qft") == 3 * 4 * 3 // 2
+
+
 def test_with_inverse_dft_leaves_its_input_unchanged():
     # two dimensions, so appending fresh bits renumbers the wires
     circ, _ = synthesize(qubitize(random_mps(2, 4, 2,

@@ -63,8 +63,11 @@ def test_config_validation_errors(tmp_path):
     ("analyze", (), {"seeds": 3}),
     ("analyze", (), {"eps": [0.5, "x"]}),
     ("build", (), {"tree": [[0, 1, 2]]}),
+    ("analyze", (), {"generator": {"kind": "chain", "rho": "x"}}),
+    ("analyze", (), {"generator": {"kind": "tree", "edges": 3,
+                                   "sigma": 3.0}}),
 ], ids=["seed-range", "chis", "eps", "dim-string", "dim-bool", "chi-float",
-        "seeds-int", "eps-string", "tree-triple"])
+        "seeds-int", "eps-string", "tree-triple", "rho-string", "edges-int"])
 def test_malformed_input_is_a_config_error(tmp_path, command, flags, config):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"generator": {"kind": "uniform", "rho": 0.3},
@@ -126,7 +129,9 @@ def test_build_stores_loadable_network(tmp_path):
     assert sorted(net.labels()) == [0, 1]
     rec = json.loads((tmp_path / "build.json").read_text())
     assert rec["evals"] > 0 and rec["residual"] < 1e-6
-    assert (tmp_path / "network.ttn.topology.json").exists()
+    # the shape lives in the container's header only: no sidecar
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["build.json",
+                                                          "network.ttn"]
 
 
 def test_optimize_writes_choice_log(tmp_path):

@@ -103,6 +103,27 @@ def test_make_covariance_rejects_bad_parameters():
         make_covariance("random", 3, sigma_max=1.5)
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("chain", {"rho": "x"}),
+    ("chain", {"rho": [1]}),
+    ("uniform", {"rho": False}),
+    ("tree", {"edges": 3, "sigma": 3.0}),
+    ("tree", {"edges": [(0, 3), (1, 3, 4)], "sigma": 3.0}),
+    ("tree", {"edges": [(0, 3.0), (1, 3), (2, 3)], "sigma": 3.0}),
+    ("tree", {"edges": [(0, 3), (1, 3), (2, 3)], "sigma": "3"}),
+    ("tree", {"edges": [], "sigma": 3.0}),
+    ("tree", {"edges": [(0, 3), (1, 3), (2, -1)], "sigma": 3.0}),
+    ("stacked-chain", {"rank": 2.7, "sigma_max": 0.3}),
+    ("stacked-chain", {"rank": 2, "sigma_max": None}),
+    ("tree", {"edges": [(0, 3), (1, 3), (2, 3)], "sigma": True}),
+], ids=["rho-string", "rho-list", "rho-bool", "edges-int", "edges-triple",
+        "edges-float", "sigma-string", "edges-empty", "edges-negative",
+        "rank-float", "sigma-max-none", "sigma-bool"])
+def test_make_covariance_checks_parameter_types(kind, params):
+    with pytest.raises(ParameterError):
+        make_covariance(kind, 3, seed=0, **params)
+
+
 def test_make_covariance_missing_parameter_names_it():
     with pytest.raises(ParameterError, match="chain.*'rho'"):
         make_covariance("chain", 4)
@@ -215,6 +236,12 @@ def test_pair_spectrum_zero_rho():
     s = pair_spectrum(0.0)
     np.testing.assert_array_equal(s.values, [1.0])
     assert s.tail == 0.0
+
+
+def test_pair_spectrum_where_the_ratio_rounds_to_zero():
+    # K - 1 rounds to 0 below rho ~ 1e-8, so q = 0 as in cut_spectrum
+    assert pair_ratio(1e-9) == 0.0
+    np.testing.assert_array_equal(pair_spectrum(1e-9).values, [1.0])
 
 
 def test_pair_spectrum_rho_point_six():

@@ -545,6 +545,21 @@ def test_tci_deterministic_for_fixed_seed():
     assert i1["residual"] == i2["residual"]
 
 
+def test_residual_is_relative_to_the_peak():
+    # a generic box and the same box scaled by 2^10 take the same
+    # decisions, so they report the same residual
+    ev = FourierEvaluator(GridSpec(4, 6, 20.0, 3),
+                          make_covariance("random", 4, sigma_max=0.3, seed=5))
+    topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(4), 4, 8)
+    infos = [tci_build(BlackBoxTensor((8,) * 4,
+                                      lambda idx, s=s: s * ev.eval_indices(idx)),
+                       topo, chi=4, sweeps=3, seed=2)[1]
+             for s in (1.0, 2.0 ** 10)]
+    assert infos[0]["residual"] > ttnprep.tci.TCI_TOL
+    for key in ("residual", "converged", "evals"):
+        assert infos[0][key] == infos[1][key]
+
+
 def test_single_node_topology_short_circuit():
     cov = make_covariance("uniform", 1, rho=0.0)
     ev = FourierEvaluator(GridSpec(1, 6, 20.0, 3), cov)
