@@ -49,23 +49,27 @@ def offset_loglog_fit(log_inv_eps, bonds) -> dict:
 
     The offset absorbs the lower-order lattice-counting terms that bend
     a plain log-log fit downward on any finite accuracy window, so e
-    estimates the asymptotic exponent.
+    estimates the asymptotic exponent. For a fixed B the model is linear
+    in (e, c), a least-squares solve; B minimizes its residual by golden
+    section over [-0.9 * min log(1/eps), 40].
     """
-    from scipy.optimize import curve_fit
-
     x = np.asarray(log_inv_eps, dtype=float)
     y = np.log(np.asarray(bonds, dtype=float))
 
-    def model(t, e, b, c):
-        return e * np.log(b + t) + c
+    def fit(b):
+        design = np.column_stack([np.log(b + x), np.ones_like(x)])
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        return coef, float(((y - design @ coef) ** 2).sum())
 
-    p, _ = curve_fit(model, x, y, p0=(1.0, 1.0, 0.0),
-                     bounds=([0.2, -0.9 * x.min(), -10.0],
-                             [6.0, 40.0, 10.0]), maxfev=20000)
-    pred = model(x, *p)
-    ss_res = float(((y - pred) ** 2).sum())
+    lo, hi = -0.9 * x.min(), 40.0
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):  # the bracket shrinks to 0.618^80 = 2e-17 of its width
+        b1, b2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        lo, hi = (lo, b2) if fit(b1)[1] <= fit(b2)[1] else (b1, hi)
+    b = (lo + hi) / 2.0
+    (e, _), ss_res = fit(b)
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    return {"exponent": float(p[0]), "offset": float(p[1]),
+    return {"exponent": float(e), "offset": float(b),
             "r2": 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot}
 
 

@@ -10,9 +10,9 @@ which reproduces f exactly on all pivot crosses.
 Pivots start at the all-zero multi-index and are refined by alternating
 half-sweeps. Each bond update factors its candidate block once: one SVD
 gives the rank and the basis from which maxvol re-selects the near-side
-rows (and, when the rank drops, the far-side columns). maxvol takes one
-pivoted LU of that basis: its pivots are the starting rows and its
-diagonal the rank check. The update then grows the rank by cross
+rows (and, when the rank drops, the far-side columns). maxvol starts
+from the rows that partial-pivot elimination of that basis picks, and
+its pivots are the rank check. The update then grows the rank by cross
 interpolation: one batch of far-side extension columns is sampled and
 evaluated, and full-pivot cross steps on their interpolation residual
 add (row, column) pairs while it stays above tolerance. The sweeps stop
@@ -26,23 +26,18 @@ of pivot lists through BlackBoxTensor.block, which a Gaussian
 coefficient box answers in product form.
 
 Values keep the box's arithmetic. The Gaussian's Fourier coefficients
-are real, so its blocks, SVDs, LUs, solves and cross updates all run in
-real LAPACK and BLAS; only the assembled network is stored complex.
+are real, so its blocks, SVDs, eliminations, solves and cross updates
+all run in real arithmetic; only the assembled network is stored complex.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-# numpy's solve: the probe GEMMs run in numpy's BLAS pool, and a solve in
-# scipy's own pool right after one runs several times slower
 from numpy.linalg import solve
-from scipy.linalg import lu_factor
 
 from .errors import (ParameterError, PivotDegeneracyError, RankError)
 from .topology import TreeTopology, walk
@@ -145,10 +140,10 @@ class BlackBoxTensor:
 def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
     """Rows of a (tall, full-column-rank) matrix forming a dominant
     square submatrix: all entries of a @ a[rows]^{-1} have magnitude
-    <= 1 + delta. Partial-pivot LU initialization, then greedy swaps.
-    Raises RankError when the LU's diagonal shows a rank deficit. The
-    check assumes well-conditioned columns, such as an orthonormal
-    basis: a partial-pivot LU can leave moderate pivots on an
+    <= 1 + delta. Starts from the pivot rows of _lu_rows, which breaks an
+    exact magnitude tie toward the earlier row, then swaps greedily. Its
+    RankError check assumes well-conditioned columns, such as an
+    orthonormal basis: partial pivoting can leave moderate pivots on an
     ill-conditioned matrix, which then passes with inaccurate swaps."""
     a = np.asarray(a)
     r, c = a.shape
@@ -156,19 +151,7 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
         raise ParameterError("maxvol needs at least as many rows as columns")
     if c == 0:
         return np.array([], dtype=int)
-    with warnings.catch_warnings():
-        # singular candidates are caught by the rank check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = lu_factor(a)
-    # a[sel] = L U with unit L, so U's diagonal reveals a rank deficit
-    diag = np.abs(lu.diagonal())
-    if diag.min() <= 1e-13 * max(diag.max(), 1e-300):
-        raise RankError("candidate matrix is rank deficient")
-    # LAPACK's row interchanges, in order, on Python ints
-    perm = list(range(r))
-    for i, p in enumerate(piv.tolist()):
-        perm[i], perm[p] = perm[p], perm[i]
-    sel = np.array(perm[:c])
+    sel = _lu_rows(a)
     coef = a @ np.linalg.inv(a[sel])
     for _ in range(MAXVOL_ITERS):
         i, j = divmod(int(np.abs(coef).argmax()), c)
@@ -179,6 +162,33 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
         coef -= coef[:, j, None] * (coef[i] - ej) / coef[i, j]
         sel[j] = i
     return sel
+
+
+def _lu_rows(a: np.ndarray) -> np.ndarray:
+    """Pivot rows, in order, of partial-pivot elimination of a tall
+    matrix. Step k takes the first largest |entry| of column k in the
+    current pivoted order (LAPACK getrf's rule), swaps it into row k and
+    applies one rank-1 Schur update. Raises RankError when some pivot is
+    at most 1e-13 times the largest: a rank deficit."""
+    r, c = a.shape
+    order = list(range(r))
+    pivots = []
+    # the Schur complement transposed, so that each column is one array row
+    s = np.array(a.T, dtype=np.result_type(a, np.float64))
+    for k in range(c):
+        col = s[0]
+        p = int(np.abs(col).argmax())
+        u = s[:, p].copy()  # the pivot row
+        if p:
+            s[:, p] = s[:, 0]
+            order[k], order[k + p] = order[k + p], order[k]
+        if u[0] == 0:
+            raise RankError("candidate matrix is rank deficient")
+        pivots.append(abs(u[0]))
+        s = s[1:, 1:] - u[1:, None] * (col[1:] / u[0])
+    if min(pivots) <= 1e-13 * max(max(pivots), 1e-300):
+        raise RankError("candidate matrix is rank deficient")
+    return np.array(order[:c])
 
 
 def _low_biased(rng: np.random.Generator, d, size) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ttnprep.tci
 from ttnprep import (BlackBoxTensor, ParameterError, RankError,
@@ -9,7 +10,7 @@ from ttnprep import (BlackBoxTensor, ParameterError, RankError,
                      make_covariance, maxvol, tci_build)
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
 from ttnprep.sim import interpolate
-from ttnprep.tci import (_dedupe_against, _low_biased, _PivotState,
+from ttnprep.tci import (_dedupe_against, _low_biased, _lu_rows, _PivotState,
                          _probe_indices, _sample_side, _update_side)
 from ttnprep.topology import enumerate_leaf_trees, random_leaf_tree
 
@@ -60,6 +61,48 @@ def test_maxvol_degenerate_and_shape_errors():
         maxvol(np.ones((2, 3)))
 
 
+def _lapack_rows(a):
+    """The first columns-many rows of scipy's pivoted LU, its row
+    interchanges replayed in order."""
+    _, piv = scipy.linalg.lu_factor(a)
+    perm = list(range(len(a)))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
+    return perm[:a.shape[1]]
+
+
+def _exact_lu_matrix(rng, rows, cols):
+    """A tall L @ U whose elimination is exact in any order of operations:
+    U has power-of-two pivots and small integers above them, L unit
+    pivots and entries in {0, +-1/4, +-1/2, +-3/4} below, so every Schur
+    complement is a short dyadic fraction and each column's largest
+    magnitude is its pivot's alone."""
+    u = np.triu(rng.integers(-3, 4, size=(cols, cols)), 1).astype(float)
+    u += np.diag(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=cols))
+    low = np.tril(rng.integers(-3, 4, size=(rows, cols)) / 4.0, -1)
+    low[np.arange(cols), np.arange(cols)] = 1.0
+    return low @ u
+
+
+@pytest.mark.parametrize("kind", ["orthonormal", "duplicate", "sign-flip"])
+@pytest.mark.parametrize("rows, cols", [(8, 1), (16, 8), (64, 13), (192, 16),
+                                        (256, 16)])
+def test_lu_rows_match_lapack_pivots(rows, cols, kind):
+    # an orthonormal basis, as maxvol gets it from an SVD, has no ties; in
+    # the other kinds every row appears twice (or once negated) in shuffled
+    # order, so each elimination step meets an exact magnitude tie that
+    # the row earlier in the current pivoted order must win
+    rng = np.random.default_rng(rows * cols)
+    for _ in range(5):
+        if kind == "orthonormal":
+            a = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+        else:
+            a = _exact_lu_matrix(rng, rows, cols)
+            a = np.vstack([a, a if kind == "duplicate" else -a])
+            a = a[rng.permutation(len(a))]
+        assert _lu_rows(a).tolist() == _lapack_rows(a)
+
+
 def test_one_svd_per_bond_update_and_none_in_maxvol(monkeypatch):
     calls = {"svd": 0, "in_maxvol": 0}
     inside = [0]
@@ -98,7 +141,7 @@ def test_one_svd_per_bond_update_and_none_in_maxvol(monkeypatch):
 
 
 def test_tci_solves_on_numpys_blas():
-    # numpy and scipy each load their own OpenBLAS; TCI stays on numpy's
+    # the runtime loads numpy's BLAS alone, and TCI's solves go through it
     assert ttnprep.tci.solve is np.linalg.solve
 
 
