@@ -193,7 +193,8 @@ def _interpolate(cfg: RunConfig, seed: int):
     rec = {"seed": seed, "chi_prime": chi_prime,
            "evals": tci_rec["tci_evals"],
            "converged": tci_rec["tci_converged"],
-           "residual": tci_rec["tci_residual"]}
+           "residual": tci_rec["tci_residual"],
+           "sweeps": tci_rec["tci_sweeps"]}
     return net, rec
 
 

@@ -242,7 +242,9 @@ def interpolate(ev: FourierEvaluator, topo: TreeTopology, chi_prime: int,
     net, info = tci_build(BlackBoxTensor.from_fourier(ev), topo,
                           chi=chi_prime, sweeps=sweeps, seed=seed)
     return net, {"tci_evals": info["evals"], "tci_residual": info["residual"],
-                 "tci_converged": info["converged"]}
+                 "tci_converged": info["converged"],
+                 "tci_sweeps": info["sweeps_run"],
+                 "tci_growth": info["growth"]}
 
 
 def _emit(coeff_net, grid, chi, mode):

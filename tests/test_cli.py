@@ -129,6 +129,7 @@ def test_build_stores_loadable_network(tmp_path):
     assert sorted(net.labels()) == [0, 1]
     rec = json.loads((tmp_path / "build.json").read_text())
     assert rec["evals"] > 0 and rec["residual"] < 1e-6
+    assert 1 <= rec["sweeps"] <= 4
     # the shape lives in the container's header only: no sidecar
     assert sorted(p.name for p in tmp_path.iterdir()) == ["build.json",
                                                           "network.ttn"]

@@ -390,13 +390,15 @@ def test_compile_record_fields():
     cov = make_covariance("random", 3, sigma_max=0.2, seed=5)
     circ, rec = compile_circuit(cov, GridSpec(3, 5, 16.0, 3), chi=4)
     for key in ("dim", "n", "m", "chi", "chi_prime", "mode", "structure",
-                "seed", "tci_evals", "tci_residual", "tci_converged", "tree",
+                "seed", "tci_evals", "tci_residual", "tci_converged",
+                "tci_sweeps", "tci_growth", "tree",
                 "ledger_fidelity", "cnot_count", "qft_cnots", "depth",
                 "qubits"):
         assert key in rec, key
     assert rec["qubits"] == circ.qubits == 15
     assert 0 < rec["ledger_fidelity"] <= 1
     assert rec["cnot_count"] == circ.cost.cnot_count
+    assert len(rec["tci_growth"]) == rec["tci_sweeps"] >= 1
 
 
 def test_compile_structure_policies_guarded():

@@ -449,7 +449,7 @@ def test_exact_rank_is_reached_and_not_passed():
         assert err <= 1e-12 * np.max(np.abs(dense))
 
 
-V4_SEED = 1826701615  # the verify-d4 benchmark's seed-0 covariance
+V4_SEED = 1826701615  # seed-0 covariance of verify-d4, first of compile-d16
 
 
 def test_real_box_builds_as_its_complex_copy():
@@ -498,16 +498,53 @@ def test_stop_fires_at_the_verify_d4_settings():
         np.testing.assert_array_equal(piv, again["pivots"][key])
 
 
-def test_update_side_reports_whether_it_added_a_pivot():
+def test_update_side_reports_the_largest_residual_it_added():
     topo = TreeTopology.mps([0, 1, 2], 8)
-    for rho, chi, added in [(0.5, 4, True), (0.5, 1, False),
+    for rho, chi, grows in [(0.5, 4, True), (0.5, 1, False),
                             (0.0, 4, False)]:
         f, _ = _gaussian_box(3, rho, 3, kind="uniform")
         state = _PivotState(topo, topo.leaf_dims())
         u, v, bond = state.schedule[0]
         rng = np.random.default_rng(0)
-        assert _update_side(f, state, bond, u, v, chi, rng) is added
-        assert (state.rank(bond) > 1) is added
+        largest = _update_side(f, state, bond, u, v, chi, rng)
+        if grows:
+            assert ttnprep.tci.STOP_TOL < largest < 1
+        else:
+            assert largest == 0.0
+        assert (state.rank(bond) > 1) is grows
+
+
+@pytest.fixture(scope="module")
+def d16_builds():
+    """The compile-d16 benchmark's seed-0 first build (D=16, n=8, m=4,
+    caterpillar, chi'=16, TCI seed = covariance seed), with a budget of 6
+    sweeps and of 4."""
+    cov = make_covariance("random", 16, sigma_max=0.2, seed=V4_SEED)
+    grid = GridSpec(16, 8, 20.0, 4)
+    topo = TreeTopology.from_leaf_tree(caterpillar_leaf_tree(16), 16, grid.M)
+    return {sweeps: tci_build(
+        BlackBoxTensor.from_fourier(FourierEvaluator(grid, cov)), topo,
+        chi=16, sweeps=sweeps, seed=V4_SEED)[1] for sweeps in (6, 4)}
+
+
+def test_stop_fires_at_the_growth_floor_past_the_dense_cap(d16_builds):
+    info, four = d16_builds[6], d16_builds[4]
+    # sweep 4 adds pivots only at the rounding floor: the build stops
+    # there, and is the build of a 4-sweep budget
+    assert info["sweeps_run"] == 4
+    growth = info["growth"]
+    assert len(growth) == 4 and growth[-1] <= ttnprep.tci.STOP_TOL
+    assert min(growth[:-1]) > ttnprep.tci.STOP_TOL
+    assert four["growth"] == growth
+    assert four["evals"] == info["evals"]
+    assert four["residual"] == info["residual"]
+    for key, piv in info["pivots"].items():
+        np.testing.assert_array_equal(piv, four["pivots"][key])
+
+
+def test_build_past_the_dense_cap_within_its_eval_budget(d16_builds):
+    # a performance gate on a count that repeats exactly
+    assert d16_builds[6]["evals"] <= 500_000
 
 
 def test_network_assembled_and_probed_once_per_build(monkeypatch):
@@ -599,7 +636,7 @@ def test_residual_is_relative_to_the_peak():
                        topo, chi=4, sweeps=3, seed=2)[1]
              for s in (1.0, 2.0 ** 10)]
     assert infos[0]["residual"] > ttnprep.tci.TCI_TOL
-    for key in ("residual", "converged", "evals"):
+    for key in ("residual", "converged", "evals", "sweeps_run", "growth"):
         assert infos[0][key] == infos[1][key]
 
 
