@@ -265,6 +265,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if record["ok"] else EXIT_VERIFICATION
 
 
+def _check_generator(cfg: RunConfig, command: str, kind: str,
+                     param: str) -> None:
+    """A batch command draws its own covariances: it takes one generator
+    kind and reads one parameter, so any other parameter is an error."""
+    if cfg.generator["kind"] != kind:
+        raise ConfigError(f"{command} expects the {kind} generator")
+    extra = sorted(set(cfg.generator) - {"kind", param})
+    if extra:
+        raise ConfigError(f"unexpected parameters: {extra}")
+
+
 def _bench_one(args) -> list[dict]:
     cfg, seed = args
     rows, _ = scaling.fidelity_study(
@@ -286,8 +297,7 @@ def _pool_map(fn, work, jobs: int):
 
 def cmd_bench(cfg: RunConfig) -> int:
     """Seeded fidelity/cost batch; CSV row per (seed, chi)."""
-    if cfg.generator["kind"] != "random":
-        raise ConfigError("bench expects the random generator")
+    _check_generator(cfg, "bench", "random", "sigma_max")
     out = Path(cfg.outdir)
     results = _pool_map(_bench_one, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     rows = [r for chunk in results for r in chunk]
@@ -320,8 +330,7 @@ def _trial_one(args) -> list[dict]:
 
 def cmd_structure_trial(cfg: RunConfig) -> int:
     """Tree-recovery success rates over a seed batch."""
-    if cfg.generator["kind"] != "tree":
-        raise ConfigError("structure-trial expects the tree generator")
+    _check_generator(cfg, "structure-trial", "tree", "sigma")
     out = Path(cfg.outdir)
     results = _pool_map(_trial_one, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     rows = [r for chunk in results for r in chunk]

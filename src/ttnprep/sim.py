@@ -372,11 +372,8 @@ def reference(grid: GridSpec, cov: CovarianceMatrix
     flattened exact target and the Fourier ceiling, the fidelity of the
     untruncated coefficient state with it. The ceiling is taken in
     coefficient space (fourier_ceiling), so the only register-size array
-    is the real target; the grid must fit the dense cap."""
-    if grid.dim * grid.n > MAX_DENSE_QUBITS:
-        raise CapacityError(
-            f"{grid.dim * grid.n} qubits exceeds the dense cap "
-            f"{MAX_DENSE_QUBITS}")
+    is the real target; the grid must fit the dense cap, which
+    exact_target checks before it builds anything."""
     target = exact_target(grid, cov).ravel()
     return target, fourier_ceiling(grid, cov, target)
 

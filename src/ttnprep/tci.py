@@ -142,12 +142,12 @@ class BlackBoxTensor:
         return box
 
 
-def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
+def maxvol(a: np.ndarray) -> np.ndarray:
     """Rows of a (tall, full-column-rank) matrix forming a dominant
     square submatrix: all entries of a @ a[rows]^{-1} have magnitude
-    <= 1 + delta. Starts from the pivot rows of _lu_rows, which breaks an
-    exact magnitude tie toward the earlier row, then swaps greedily. Its
-    RankError check assumes well-conditioned columns, such as an
+    <= 1 + MAXVOL_DELTA. Starts from the pivot rows of _lu_rows, which
+    breaks an exact magnitude tie toward the earlier row, then swaps
+    greedily. Its RankError check assumes well-conditioned columns, such as an
     orthonormal basis: partial pivoting can leave moderate pivots on an
     ill-conditioned matrix, which then passes with inaccurate swaps."""
     a = np.asarray(a)
@@ -160,7 +160,7 @@ def maxvol(a: np.ndarray, delta: float = MAXVOL_DELTA) -> np.ndarray:
     coef = a @ np.linalg.inv(a[sel])
     for _ in range(MAXVOL_ITERS):
         i, j = divmod(int(np.abs(coef).argmax()), c)
-        if abs(coef[i, j]) <= 1.0 + delta:
+        if abs(coef[i, j]) <= 1.0 + MAXVOL_DELTA:
             break
         ej = np.zeros(c)
         ej[j] = 1.0

@@ -127,13 +127,11 @@ class TreeTopology:
                          if min(len(left), len(right)) >= 2)
 
     @classmethod
-    def mps(cls, labels: Sequence[Label], dims: Sequence[int] | int) -> "TreeTopology":
-        """Path topology: node i carries physical label labels[i]."""
-        D = len(labels)
-        if isinstance(dims, int):
-            dims = [dims] * D
-        bonds = tuple((i, i + 1) for i in range(D - 1))
-        leaves = tuple((i, labels[i], dims[i]) for i in range(D))
+    def mps(cls, labels: Sequence[Label], dim: int) -> "TreeTopology":
+        """Path topology: node i carries physical label labels[i], of
+        dimension dim."""
+        bonds = tuple((i, i + 1) for i in range(len(labels) - 1))
+        leaves = tuple((i, lab, dim) for i, lab in enumerate(labels))
         return cls(bonds, leaves)
 
     @classmethod

@@ -293,15 +293,14 @@ class TreeTensorNetwork:
         return self
 
     def truncate_bond(self, e: int, chi: int | None = None,
-                      tol: float | None = None,
-                      renormalize: bool = True) -> float:
+                      tol: float | None = None) -> float:
         """SVD the center across bond e, keep the top singular values,
-        absorb the kept weight into the far node (which becomes the new
-        center), and record the kept mass fraction in the ledger.
+        rescaled to unit total mass, absorb them into the far node (which
+        becomes the new center), and record the kept mass fraction in the
+        ledger.
 
         chi caps the rank; tol keeps the smallest rank whose discarded
-        squared mass is <= tol^2 relative. With renormalize the kept
-        singular values are rescaled to unit total mass.
+        squared mass is <= tol^2 relative.
         """
         ed = self.edges[e]
         if ed.is_phys:
@@ -326,7 +325,7 @@ class TreeTensorNetwork:
         r = max(r, 1)
         kept = float(s2[:r].sum())
         f = kept / total
-        snew = s[:r] / math.sqrt(kept) if renormalize else s[:r]
+        snew = s[:r] / math.sqrt(kept)
         self.tensors[u] = _fold(uu[:, :r], others, pos)
         posv = self.axes[v].index(e)
         c = snew[:, None] * vh[:r]
@@ -336,8 +335,8 @@ class TreeTensorNetwork:
         self.ledger.record(e, f)
         return f
 
-    def truncate(self, chi: int | None = None, tol: float | None = None,
-                 renormalize: bool = True) -> FidelityLedger:
+    def truncate(self, chi: int | None = None, tol: float | None = None
+                 ) -> FidelityLedger:
         """Truncate every bond once, sweeping depth-first out from the
         center. Returns the ledger of just this sweep; entries are also
         appended to the network ledger."""
@@ -355,7 +354,7 @@ class TreeTensorNetwork:
         up = {u: (p, e) for u, p, e in order}
         for _, p, e in order[1:]:
             self._climb(p, up)
-            self.truncate_bond(e, chi=chi, tol=tol, renormalize=renormalize)
+            self.truncate_bond(e, chi=chi, tol=tol)
         self._climb(root, up)
         return FidelityLedger(list(self.ledger.steps[start:]))
 
@@ -385,7 +384,52 @@ class TreeTensorNetwork:
                 gram - np.eye(gram.shape[0])))))
         return worst
 
-    # -- dense interface ---------------------------------------------------
+    # -- contraction -------------------------------------------------------
+
+    def _contract(self, picks: dict | None = None) -> tuple[np.ndarray, list]:
+        """Children first toward the center (or any node): each subtree's
+        result waits under its parent bond and folds into the parent in
+        axes order. Returns the root's tensor and the edge of each axis.
+
+        Without picks every physical leg stays open. picks maps each label
+        to one index per batch row: a node reads its physical legs there,
+        which puts a batch axis first. A subtree with no physical leg sends
+        an unbatched message, which contracts in as in the dense case."""
+        root = self.center if self.center is not None \
+            else next(iter(self.tensors))
+        subs: dict = {}
+        for u, _, pe in reversed(walk(root, self.neighbors)):
+            t, legs, batched = self.tensors[u], list(self.axes[u]), False
+            phys = [i for i, e in enumerate(legs) if self.edges[e].is_phys]
+            if picks is not None and phys:
+                # physical axes to the front, then one advanced index over
+                # them puts the batch axis first
+                t = np.moveaxis(t, phys, range(len(phys)))[tuple(
+                    picks[self.edges[legs[i]].label] for i in phys)]
+                legs = [x for x in legs if not self.edges[x].is_phys]
+                batched = True
+            for e in self.axes[u]:
+                if e not in subs:
+                    continue
+                sub, sublegs, sub_batched = subs.pop(e)
+                i = legs.index(e)
+                legs.remove(e)
+                if not sub_batched:
+                    t = np.tensordot(t, sub, axes=(i + batched,
+                                                   sublegs.index(e)))
+                    legs += [x for x in sublegs if x != e]
+                elif not batched:
+                    # the first batched (batch, d_e) message: one GEMM
+                    t = np.tensordot(sub, t, axes=(1, i))
+                    batched = True
+                else:
+                    t = np.einsum(t, [0, *range(1, t.ndim)], sub, [0, i + 1],
+                                  [0, *(j for j in range(1, t.ndim)
+                                        if j != i + 1)])
+                del sub  # a message kept alive slows the next contraction
+            subs[pe] = t, legs, batched
+        t, legs, _ = subs[None]
+        return t, legs
 
     def contract_to_tensor(self) -> np.ndarray:
         """Full contraction to a dense tensor with one axis per physical
@@ -397,26 +441,8 @@ class TreeTensorNetwork:
         if size > 1 << MAX_DENSE_QUBITS:
             raise CapacityError(
                 f"dense contraction above the 2^{MAX_DENSE_QUBITS} guard")
-
-        root = self.center if self.center is not None \
-            else next(iter(self.tensors))
-        # children first: each subtree's contraction and its open legs,
-        # keyed by its parent bond, folded into the parent in axes order
-        subs: dict = {}
-        for u, _, pe in reversed(walk(root, self.neighbors)):
-            t = self.tensors[u]
-            legs = list(self.axes[u])
-            for e in self.axes[u]:
-                if e in subs:
-                    sub, sublegs = subs.pop(e)
-                    t = np.tensordot(t, sub, axes=(legs.index(e),
-                                                   sublegs.index(e)))
-                    legs = ([x for x in legs if x != e]
-                            + [x for x in sublegs if x != e])
-            subs[pe] = t, legs
-        t, legs = subs[None]
-        perm = [legs.index(phys[lab]) for lab in sorted(phys)]
-        return np.transpose(t, perm)
+        t, legs = self._contract()
+        return np.transpose(t, [legs.index(phys[lab]) for lab in sorted(phys)])
 
     def contract_to_vector(self) -> np.ndarray:
         return self.contract_to_tensor().ravel()
@@ -424,45 +450,14 @@ class TreeTensorNetwork:
     def evaluate(self, assignments: np.ndarray) -> np.ndarray:
         """Amplitudes at individual index assignments without dense
         contraction. assignments has shape (batch, L) with columns in
-        label-sorted order. A node with bond legs only meets its first
-        child message in one tensordot (a GEMM), not per assignment."""
+        label-sorted order."""
         assignments = np.atleast_2d(np.asarray(assignments, dtype=int))
         labels = self.labels()
         if assignments.shape[1] != len(labels):
             raise ParameterError("assignment width != number of labels")
-        col = {lab: i for i, lab in enumerate(labels)}
-        root = self.center if self.center is not None \
-            else next(iter(self.tensors))
-        # children first: each subtree's (batch, d_pe) amplitudes, keyed by
-        # its parent bond, contracted into the parent in axes order
-        subs: dict = {}
-        for u, _, pe in reversed(walk(root, self.neighbors)):
-            t = self.tensors[u]
-            legs = list(self.axes[u])
-            phys_pos = [i for i, e in enumerate(legs) if self.edges[e].is_phys]
-            if phys_pos:
-                # physical axes to the front, then one advanced index over
-                # them puts the batch axis first
-                t = np.moveaxis(t, phys_pos, range(len(phys_pos)))[tuple(
-                    assignments[:, col[self.edges[legs[i]].label]]
-                    for i in phys_pos)]
-                legs = [x for x in legs if not self.edges[x].is_phys]
-            elif any(e in subs for e in legs):
-                i = next(i for i, e in enumerate(legs) if e in subs)
-                t = np.tensordot(subs.pop(legs.pop(i)), t, axes=(1, i))
-            else:
-                t = np.broadcast_to(t, (assignments.shape[0],) + t.shape)
-            # t: (batch, remaining bond legs...) in `legs` order
-            for e in list(legs):
-                if e not in subs:
-                    continue
-                i = legs.index(e)
-                t = np.einsum(t, [0, *range(1, t.ndim)], subs.pop(e),
-                              [0, i + 1],
-                              [0, *(j for j in range(1, t.ndim) if j != i + 1)])
-                legs.pop(i)
-            subs[pe] = t  # (batch, d_pe) or (batch,)
-        return subs[None].reshape(assignments.shape[0])
+        t, _ = self._contract({lab: assignments[:, i]
+                               for i, lab in enumerate(labels)})
+        return t.reshape(assignments.shape[0])
 
     # -- editing -----------------------------------------------------------
 

@@ -297,6 +297,22 @@ def test_bench_requires_random_generator(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, kind, param", [
+    ("bench", "random", "sigma_max=0.2"),
+    ("structure-trial", "tree", "sigma=3.0"),
+])
+@pytest.mark.parametrize("extra", ["foo=1", "edges=7"])
+def test_batch_commands_reject_parameters_they_do_not_read(
+        tmp_path, capsys, command, kind, param, extra):
+    # each batch command draws its own covariances and reads one parameter
+    rc = _run(command, "--kind", kind, "--param", param, "--param", extra,
+              "--dim", "3", "-n", "3", "-m", "2", "--sweeps", "1",
+              "--seeds", "0", "--outdir", str(tmp_path))
+    assert rc == EXIT_CONFIG
+    assert extra.split("=")[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_structure_trial_outputs(tmp_path):
     rc = _run("structure-trial", "--kind", "tree", "--param", "sigma=3.0",
               "--dim", "4", "-n", "5", "--box", "16", "-m", "3",

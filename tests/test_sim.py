@@ -648,11 +648,12 @@ def test_verify_pipeline_is_reference_compile_verify():
 
 
 def test_reference_respects_dense_cap(monkeypatch):
+    # exact_target owns the cap and checks it before it builds anything
     import ttnprep.sim as simmod
 
-    monkeypatch.setattr(simmod, "exact_target",
-                        lambda *a: pytest.fail("built a dense target"))
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(simmod, "fourier_ceiling",
+                        lambda *a: pytest.fail("took a Fourier ceiling"))
+    with pytest.raises(CapacityError, match="dense target"):
         reference(GridSpec(4, 7, 20.0, 4),
                   make_covariance("uniform", 4, rho=0.1))
 

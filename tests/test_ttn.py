@@ -247,20 +247,27 @@ def _random_tree_net(shape_idx, seed, chi=None):
     return from_dense(t, topo)
 
 
+def _unrenormalized(net, led):
+    # each step rescales the kept mass f to 1, so scaling the truncated
+    # unit state by sqrt(product of f) undoes every rescaling
+    return math.sqrt(led.product) * net.contract_to_vector()
+
+
 def test_truncation_bound_property():
-    # || psi - psi_trunc ||  <=  sqrt( sum_i eps_i^2 ), discarded mass per step
+    # || psi - psi_trunc ||  <=  sqrt( sum_i eps_i^2 ), discarded mass per
+    # step, for the truncation without renormalization
     for seed in range(6):
         net = random_mps(4, 2, 8, np.random.default_rng(100 + seed))
         orig = net.contract_to_vector()
-        led = net.truncate(chi=2, renormalize=False)
-        err = np.linalg.norm(orig - net.contract_to_vector())
+        led = net.truncate(chi=2)
+        err = np.linalg.norm(orig - _unrenormalized(net, led))
         bound = math.sqrt(sum(1.0 - f for _, f in led.steps))
         assert err <= bound + 1e-12
     for shape in range(3):
         net = _random_tree_net(shape, 50 + shape)
         orig = net.contract_to_vector()
-        led = net.truncate(chi=1, renormalize=False)
-        err = np.linalg.norm(orig - net.contract_to_vector())
+        led = net.truncate(chi=1)
+        err = np.linalg.norm(orig - _unrenormalized(net, led))
         bound = math.sqrt(sum(1.0 - f for _, f in led.steps))
         assert err <= bound + 1e-12
 
@@ -279,8 +286,8 @@ def test_ledger_soundness_against_contraction():
 def test_truncate_tol_mode():
     net = random_mps(5, 2, 8, np.random.default_rng(33))
     orig = net.contract_to_vector()
-    led = net.truncate(tol=1e-3, renormalize=False)
-    err = np.linalg.norm(orig - net.contract_to_vector())
+    led = net.truncate(tol=1e-3)
+    err = np.linalg.norm(orig - _unrenormalized(net, led))
     assert err <= 1e-3 * math.sqrt(len(led.steps)) + 1e-12
 
 
@@ -327,6 +334,27 @@ def test_evaluate_bond_only_node_without_child_message(center):
     net = TreeTensorNetwork(
         {0: rng.normal(size=(3, 2)), 1: rng.normal(size=(2,))},
         {0: [0, 1], 1: [1]}, {0: Edge((0,), "x"), 1: Edge((0, 1))},
+        center=center)
+    np.testing.assert_allclose(net.evaluate(np.arange(3)[:, None]),
+                               net.contract_to_vector(), atol=1e-12)
+
+
+@pytest.mark.parametrize("hub_axes", [[0, 1], [1, 0]])
+@pytest.mark.parametrize("center", [0, 1, 2])
+def test_evaluate_merges_unbatched_and_batched_messages(center, hub_axes):
+    # hub 0 holds bonds only, to pendant 1, which has no physical leg, and
+    # to leaf 2. Rooted at 0, pendant 1's unbatched message meets the hub
+    # while it is unbatched or, with the other axis order, batched
+    rng = np.random.default_rng(37)
+    dims = {0: 2, 1: 4}  # edge 0 joins nodes 0 and 1, edge 1 nodes 0 and 2
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    net = TreeTensorNetwork(
+        {0: draw(*(dims[e] for e in hub_axes)), 1: draw(2), 2: draw(4, 3)},
+        {0: hub_axes, 1: [0], 2: [1, 2]},
+        {0: Edge((0, 1)), 1: Edge((0, 2)), 2: Edge((2,), "x")},
         center=center)
     np.testing.assert_allclose(net.evaluate(np.arange(3)[:, None]),
                                net.contract_to_vector(), atol=1e-12)
