@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_DENSE_QUBITS, CapacityError, ParameterError
+from .errors import (MAX_DENSE_QUBITS, CapacityError, ParameterError,
+                     ShapeError)
 from .gaussian import CovarianceMatrix
 
 
@@ -262,6 +263,9 @@ def fourier_ceiling(grid: GridSpec, cov: CovarianceMatrix,
     if n * D > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"dense target above the {MAX_DENSE_QUBITS}-qubit guard")
+    if np.size(target) != 1 << n * D:
+        raise ShapeError(
+            f"{np.size(target)} target amplitudes for {n * D} qubits")
     N, M = 1 << n, 1 << m
     W = inverse_dft_embedding_matrix(n, m)
     pairs = np.stack([W.real, -W.imag], axis=-1).reshape(N, -1)

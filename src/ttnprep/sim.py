@@ -50,12 +50,31 @@ class StateVector:
     StateVector(qubits, amplitudes) wraps a register-order vector (wire
     0 most significant) as a block over every wire. The register-order
     vector of a partial block is built when `amplitudes` is first read.
+
+    StateVector(qubits, t, wires, run=F) holds a state one run early: F
+    is a (2^k, 2^r) map and t, kept as `before`, a contiguous
+    (A, B, 2^r) array over the first a entries of `wires` (A = 2^a),
+    the entries after the next k, and the r wires F reads. The block,
+    (A, 2^k, B) with F applied over wires[a:a+k], is built when `block`
+    or `amplitudes` is first read; `norm` and `overlap` meet F without
+    building it.
     """
 
-    def __init__(self, qubits: int, amplitudes, wires=None):
+    def __init__(self, qubits: int, amplitudes, wires=None, run=None):
         self.qubits = qubits
         self.wires = tuple(range(qubits) if wires is None else wires)
-        self.block = np.asarray(amplitudes).reshape((2,) * len(self.wires))
+        self.run = run
+        if run is None:
+            self.block = np.asarray(amplitudes).reshape(
+                (2,) * len(self.wires))
+        else:
+            self.before = amplitudes
+
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        """The block over `wires`; a pending run is applied on first read."""
+        out = np.matmul(self.run, self.before.transpose(0, 2, 1))
+        return out.reshape((2,) * len(self.wires))
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -68,27 +87,67 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.block))
+        """The block's norm; with a pending run F on t, sqrt<t|F^dag F|t>,
+        from the 2^r x 2^r Gram matrices of F and of t, so nothing of the
+        block's size is built."""
+        if self.run is None:
+            return float(np.linalg.norm(self.block))
+        F, t = self.run, self.before
+        # one real product gives t's Gram matrix: columns 2c and 2c+1 of
+        # the float view are Re and Im of t's column c
+        g = t.reshape(-1, t.shape[-1]).view(float)
+        g = g.T @ g
+        s = (g[0::2, 0::2] + g[1::2, 1::2]
+             + 1j * (g[0::2, 1::2] - g[1::2, 0::2]))
+        return float(np.sqrt(max(np.sum(F.conj().T @ F * s).real, 0.0)))
 
     def _written(self) -> tuple:
         """Index of the register entries where every unwritten wire is 0."""
         return tuple(slice(None) if w in self.wires else 0
                      for w in range(self.qubits))
 
-    def pieces(self, x):
-        """Pairs of flat vectors that together cover the block: a piece of
-        the block and the entries of x, a register-order vector, that
-        meet it (those where every unwritten wire is 0, in the block's
-        wire order). The pieces split the block's leading axes, so each
-        piece of x is a copy of at most 2^PIECE_QUBITS entries, or a
-        view where the block is in register order."""
+    def _part(self, x) -> np.ndarray:
+        """The entries of x, a register-order vector, that meet the block
+        (those where every unwritten wire is 0), with the block's axes."""
         x = np.asarray(x)
         if x.size != 1 << self.qubits:
             raise ShapeError(f"{x.size} amplitudes for {self.qubits} qubits")
-        part = x.reshape((2,) * self.qubits)[self._written()].transpose(
+        return x.reshape((2,) * self.qubits)[self._written()].transpose(
             np.argsort(np.argsort(self.wires)))
+
+    def pieces(self, x):
+        """Pairs of flat vectors that together cover the block: a piece of
+        the block and the entries of x, a register-order vector, that
+        meet it (see `_part`). The pieces split the block's leading axes,
+        so each piece of x is a copy of at most 2^PIECE_QUBITS entries,
+        or a view where the block is in register order."""
+        part = self._part(x)
         for idx in np.ndindex((2,) * max(len(self.wires) - PIECE_QUBITS, 0)):
             yield self.block[idx].ravel(), part[idx].ravel()
+
+    def overlap(self, x) -> complex:
+        """<state|x> for a register-order vector x. A block meets x piece
+        by piece (see `pieces`).
+
+        A pending run F on t meets x through its adjoint, <F t|x> =
+        <t|F^dag x>, contracted in the cheaper order: x, read as
+        (A, 2^k, B), meets conj(t) over B first, one matrix product per
+        leading index, and the 2^k x 2^r sum q then meets conj(F). A real
+        x meets the float view of t, so nothing complex of x's size is
+        built, and when every wire is written and F's wires are one
+        register range, reading x as (A, 2^k, B) is a view.
+        """
+        if self.run is None:
+            return sum(_overlap(a, b) for a, b in self.pieces(x))
+        F, t = self.run, self.before
+        part = self._part(x).reshape(t.shape[0], F.shape[0], t.shape[1])
+        if np.iscomplexobj(part):
+            q = np.matmul(part, t.conj()).sum(axis=0)
+        else:
+            # Re and Im of x t side by side, read back as complex
+            q = np.matmul(part, t.view(float)).sum(axis=0).view(
+                complex).conj()
+        return complex(np.sum(F.conj() * q))
 
 
 def _place(psi, wires: list, plc):
@@ -133,6 +192,40 @@ def _runs(placements):
         yield run
 
 
+def _hold(Q: int, psi, wires: list, run) -> StateVector:
+    """The state after `run` on the block psi over `wires`, held with the
+    run unapplied.
+
+    The run's map: each placement runs, as _place, on an identity over
+    the written wires the run reads, with one column axis, so padding
+    and fresh-wire reads keep their meaning. Its output wires go in
+    register order, between the other written wires below the first of
+    them and the rest in register order, so the block is in register
+    order unless a written wire the run leaves alone lies between two of
+    its outputs.
+    """
+    span = {w for plc in run for w in plc.targets}
+    reads = [w for w in wires if w in span]
+    fused = np.eye(1 << len(reads), dtype=complex).reshape(
+        (2,) * len(reads) + (-1,))
+    outs = reads
+    for plc in run:
+        fused, outs = _place(fused, outs, plc)
+    span = sorted(outs)
+    rest = [w for w in wires if w not in reads]
+    lead = sorted(w for w in rest if w < span[0])
+    tail = sorted(w for w in rest if w > span[0])
+    order = lead + tail + reads
+    # reshape can return a strided view; norm and overlap read t's
+    # float view, which needs it contiguous
+    t = np.ascontiguousarray(psi.transpose(
+        [wires.index(w) for w in order]).reshape(
+            1 << len(lead), 1 << len(tail), 1 << len(reads)))
+    F = fused.transpose([outs.index(w) for w in span] + [len(outs)])
+    return StateVector(Q, t, lead + span + tail,
+                       run=F.reshape(1 << len(span), -1))
+
+
 def simulate(circ: QuantumCircuit) -> StateVector:
     """Apply the placements in order to the all-zeros state.
 
@@ -143,48 +236,33 @@ def simulate(circ: QuantumCircuit) -> StateVector:
 
     The amplitudes live in a block over the written wires only; every
     other wire holds |0>, so the block has the state's norm. Consecutive
-    placements that span at most FUSE_WIDTH wires act as one map: each
-    runs, as _place, on an identity over the written wires the run
-    reads, with one column axis, so padding and fresh-wire reads keep
-    their meaning. The block then moves those wires to the front once
-    and meets the map in one matrix product, and its norm is checked.
-    Returns the block and its wire order; the register-order vector is
-    built only if `amplitudes` is read.
+    placements that span at most FUSE_WIDTH wires act as one map. Each
+    run is held unapplied with the block before it (see `StateVector`
+    and _hold), its norm is checked through the Gram form, and the next
+    run reads `block`, which applies it in one matrix product. The last
+    run stays unapplied: it is the one that grows the block to its full
+    size, so a fidelity against a target never builds it; `block` and
+    `amplitudes` do, on first read.
     """
     Q = circ.qubits
     if Q > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"{Q} qubits exceeds the dense cap {MAX_DENSE_QUBITS}")
     circ.validate()
-    psi = np.ones((), dtype=complex)
-    wires: list = []
+    sv = StateVector(Q, np.ones((), dtype=complex), [])
     for run in _runs(circ.placements):
-        span = {w for plc in run for w in plc.targets}
-        reads = [w for w in wires if w in span]
-        fused = np.eye(1 << len(reads), dtype=complex).reshape(
-            (2,) * len(reads) + (-1,))
-        outs = reads
-        for plc in run:
-            fused, outs = _place(fused, outs, plc)
-        rest = [w for w in wires if w not in reads]
-        t = np.moveaxis(psi, [wires.index(w) for w in reads],
-                        range(len(reads)))
-        shape = t.shape[len(reads):]
-        t = t.reshape(1 << len(reads), -1)
-        # keep at most two blocks alive: the moved copy and the product
+        psi, wires = sv.block, list(sv.wires)
+        # keep at most two blocks alive: this one and the next moved copy
+        del sv
+        sv = _hold(Q, psi, wires, run)
         del psi
-        psi = (fused.reshape(-1, t.shape[0]) @ t).reshape(
-            (2,) * len(outs) + shape)
-        del t
-        wires = outs + rest
-        # one pass over the block, where np.linalg.norm reads it twice
-        drift = abs(np.sqrt(np.vdot(psi, psi).real) - 1.0)
+        drift = abs(sv.norm - 1.0)
         if drift > NORM_DRIFT_TOL:
             raise CircuitValidityError(
                 f"norm drifted by {drift:.3e} after placements on "
                 f"{[plc.targets for plc in run]}; a fresh target wire was "
                 "not cleared")
-    return StateVector(Q, psi, wires)
+    return sv
 
 
 def _overlap(u: np.ndarray, v: np.ndarray) -> complex:
@@ -214,15 +292,15 @@ def _overlap(u: np.ndarray, v: np.ndarray) -> complex:
 def fidelity(u, v) -> float:
     """|<u|v>|^2 for unit vectors, statevectors, or flattened tensors.
 
-    A StateVector is read on its block, piece by piece (see its
-    `pieces`): only the other side's entries where every unwritten wire
-    is 0 meet it, so the block is never expanded to the register.
+    A StateVector meets the other side through its `overlap`: only the
+    other side's entries where every unwritten wire is 0 meet it, and a
+    pending last run meets them through its adjoint, so the state is
+    never expanded to the register.
     """
     if isinstance(v, StateVector):
         u, v = v, u   # |<u|v>| = |<v|u>|
     if isinstance(u, StateVector):
-        v = v.amplitudes if isinstance(v, StateVector) else v
-        total = sum(_overlap(a, b) for a, b in u.pieces(v))
+        total = u.overlap(v.amplitudes if isinstance(v, StateVector) else v)
     else:
         total = _overlap(np.ravel(u), np.ravel(v))
     return float(abs(total) ** 2)
@@ -384,8 +462,10 @@ def verify_circuit(circ: QuantumCircuit, record: dict,
 
     The simulated fidelity against the reference target is compared with
     ledger_fidelity * fourier_fidelity; a gap beyond GAP_TOL is flagged,
-    not raised, so batch sweeps can keep going. Returns a copy of the
-    record with the verification fields added.
+    not raised, so batch sweeps can keep going. The simulated state meets
+    the target with its last run unapplied (see `simulate`), so besides
+    the real target nothing of the register's size is held. Returns a
+    copy of the record with the verification fields added.
     """
     target, ceiling = ref
     sim_f = fidelity(simulate(circ), target)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ttnprep import CapacityError, CovarianceMatrix, ParameterError, make_covariance
+from ttnprep import (CapacityError, CovarianceMatrix, ParameterError,
+                     ShapeError, make_covariance)
 from ttnprep.fourier import (FourierEvaluator, GridSpec, _dense_quadratic,
                              dense_coeff_tensor, exact_target, fourier_ceiling,
                              fsl_state, index_to_frequency,
@@ -257,6 +258,19 @@ def test_fourier_ceiling_matches_fsl_state(dim, n, m):
     assert fourier_ceiling(grid, cov, target) == pytest.approx(want,
                                                                rel=1e-12)
     assert 0.4 < want <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("size", [1 << 9, 1 << 11])
+def test_fourier_ceiling_rejects_a_wrong_size_target(size):
+    # half and twice the 2^10 grid entries; the full grid, flat or as its
+    # (2^n,)*dim tensor, is accepted
+    grid = GridSpec(2, 5, 20.0, 3)
+    cov = make_covariance("random", 2, sigma_max=0.3, seed=2)
+    with pytest.raises(ShapeError):
+        fourier_ceiling(grid, cov, np.ones(size))
+    target = exact_target(grid, cov)
+    assert fourier_ceiling(grid, cov, target) == \
+        fourier_ceiling(grid, cov, target.ravel())
 
 
 def test_fourier_ceiling_capacity_guard():

@@ -1,5 +1,6 @@
 """Statevector execution and end-to-end pipeline verification."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,9 @@ WIRE_LAYOUTS = {
     # wires 0 and 5 are never touched
     "unwritten-inputs": (8, [((3, 2), 1), ((2, 1, 6), 2), ((7, 4), 1),
                              ((6, 7, 3), 3)]),
+    # at a fusion width of 2, the last run reads the wire that leads the
+    # block and leaves the one behind it alone
+    "leading-read": (3, [((1, 0), 0), ((1, 2), 1)]),
     # one wire, and every wire at once
     "single": (1, [((0,), 0), ((0,), 1)]),
     "all": (4, [((3, 1, 0, 2), 0), ((2, 0, 3, 1), 4)]),
@@ -227,7 +231,8 @@ def test_simulate_matches_dense_reference_at_any_fusion_width(
 def test_dirty_fresh_wire_rejected_inside_and_across_runs(
         width, runs, monkeypatch):
     # wire 0 holds amplitude when the second placement claims it as fresh,
-    # with both placements in one run and in two
+    # with both placements in one run and in two; the dirty run is the
+    # last, which is held unapplied, and the error names its targets
     monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
     h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     from ttnprep.circuit import CostReport
@@ -236,19 +241,93 @@ def test_dirty_fresh_wire_rejected_inside_and_across_runs(
             np.array([[1.0], [0.0], [0.0], [0.0]]), "prep")],
         (0, 1), CostReport(6, 6))
     assert _run_lengths(circ) == runs
-    with pytest.raises(CircuitValidityError):
+    dirty = str([plc.targets for plc in circ.placements[-runs[-1]:]])
+    with pytest.raises(CircuitValidityError, match=re.escape(dirty)):
         simulate(circ)
+
+
+def _pending_cases():
+    # every layout above at each fusion width: the last runs include
+    # outputs that are not one register range, unwritten wires and a
+    # single wire
+    for width in (1, 2, 3, 5, 8):
+        for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
+            yield width, qubits, layout
+
+
+def test_pending_cases_cover_every_kind_of_last_run(monkeypatch):
+    kinds = set()
+    for width, qubits, layout in _pending_cases():
+        monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
+        circ = _circuit(qubits, layout, np.random.default_rng(0))
+        last = list(simmod._runs(circ.placements))[-1]
+        span = sorted({w for plc in last for w in plc.targets})
+        kinds.add(("one range", span == list(range(span[0], span[-1] + 1))))
+        kinds.add(("all written", len(simulate(circ).wires) == qubits))
+        kinds.add(("one wire", len(span) == 1))
+    assert kinds == {(k, b) for k in ("one range", "all written", "one wire")
+                     for b in (False, True)}
+
+
+@pytest.mark.parametrize("pieces", [16, 2])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
+def test_fidelity_with_a_pending_run_equals_register_order(
+        width, pieces, monkeypatch):
+    # the last run meets x through its adjoint; the register-order vector
+    # it would build gives the same fidelity
+    monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
+    monkeypatch.setattr(simmod, "PIECE_QUBITS", pieces)
+    rng = np.random.default_rng(width)
+    for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
+        sv = simulate(_circuit(qubits, layout, rng))
+        assert sv.run is not None
+        N = 1 << qubits
+        real = rng.normal(size=N)
+        cplx = rng.normal(size=N) + 1j * rng.normal(size=N)
+        got = [fidelity(sv, x / np.linalg.norm(x)) for x in (real, cplx)]
+        assert "block" not in vars(sv)
+        for g, x in zip(got, (real, cplx)):
+            want = fidelity(sv.amplitudes, x / np.linalg.norm(x))
+            assert abs(g - want) <= 1e-14
+        assert abs(fidelity(sv, sv) - fidelity(sv.amplitudes, sv)) <= 1e-14
+        for size in (N // 2, 2 * N):
+            with pytest.raises(ShapeError):
+                fidelity(sv, np.ones(size))
+
+
+def test_norm_of_a_pending_run_builds_no_amplitudes(monkeypatch):
+    for width, qubits, layout in _pending_cases():
+        monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
+        sv = simulate(_circuit(qubits, layout, np.random.default_rng(1)))
+        norm = sv.norm
+        assert "amplitudes" not in vars(sv) and "block" not in vars(sv)
+        assert norm == pytest.approx(np.linalg.norm(sv.amplitudes),
+                                     abs=1e-14)
+    # a map that is no isometry, as a leaking run's is: one leading wire,
+    # three it writes, three trailing, two it reads
+    rng = np.random.default_rng(2)
+    t = rng.normal(size=(2, 8, 4)) + 1j * rng.normal(size=(2, 8, 4))
+    F = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    sv = StateVector(7, t, range(7), run=F)
+    x = rng.normal(size=1 << 7)
+    want = np.einsum("ic,abc->aib", F, t).ravel()
+    assert sv.norm == pytest.approx(np.linalg.norm(want), rel=1e-14)
+    assert sv.overlap(x) == pytest.approx(np.vdot(want, x), rel=1e-14)
+    np.testing.assert_allclose(sv.amplitudes, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("pieces", [16, 2])
 def test_fidelity_on_the_block_equals_register_order(pieces, monkeypatch):
-    # wires 0 and 5 are never written; small pieces split the block
+    # wires 0 and 5 are never written; small pieces split the block,
+    # held with nothing pending and its wires out of register order
     monkeypatch.setattr(simmod, "PIECE_QUBITS", pieces)
     qubits, layout = WIRE_LAYOUTS["unwritten-inputs"]
     rng = np.random.default_rng(5)
     circ = _circuit(qubits, layout, rng)
-    sv = simulate(circ)
-    assert len(sv.wires) < qubits
+    held = simulate(circ)
+    sv = StateVector(qubits, held.block.T, held.wires[::-1])
+    assert len(sv.wires) < qubits and sv.run is None
+    np.testing.assert_array_equal(sv.amplitudes, held.amplitudes)
     x = rng.normal(size=1 << qubits)
     for v in (x / np.linalg.norm(x), sv.amplitudes[::-1].copy()):
         want = fidelity(sv.amplitudes, v)
@@ -272,6 +351,24 @@ def test_state_norm_reads_the_block():
     assert "amplitudes" not in vars(sv)
     assert peak < sv.block.nbytes
     assert norm == pytest.approx(np.linalg.norm(sv.amplitudes), abs=1e-14)
+
+
+def test_verify_circuit_peak_memory_below_one_complex_state():
+    # the target is the one register-size array: simulating and meeting
+    # it builds nothing complex of the register's size
+    grid = GridSpec(4, 5, 20.0, 3)
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
+    ref = reference(grid, cov)
+    circ, rec = compile_circuit(cov, grid, 3)
+    assert circ.qubits == 20
+    tracemalloc.start()
+    try:
+        out = verify_circuit(circ, rec, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["ok"]
+    assert peak < 16 << circ.qubits
 
 
 def test_reference_peak_memory():
