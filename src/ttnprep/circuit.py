@@ -12,6 +12,8 @@ The inverse discrete Fourier transform that turns frequency amplitudes
 into grid amplitudes enters in one of two ways: absorbed into the
 network as a chain of copy/phase tensors and recompressed, or appended
 to the coefficient circuit as one symbolic placement per dimension.
+Placement matrices keep the network's dtype, so a real coefficient
+network gives real placements and complex enters only with that stage.
 """
 
 from __future__ import annotations
@@ -211,8 +213,10 @@ class Placement:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{q} outputs, {p} inputs")
         g = self.matrix.conj().T @ self.matrix
-        if np.max(np.abs(g - np.eye(1 << p))) > ISOMETRY_TOL:
-            raise CircuitValidityError("placement matrix is not an isometry")
+        # written so that a NaN defect fails too
+        if not np.max(np.abs(g - np.eye(1 << p))) <= ISOMETRY_TOL:
+            raise CircuitValidityError(
+                f"placement matrix on {self.targets} is not an isometry")
 
 
 @dataclass
@@ -300,7 +304,7 @@ def _complete_isometry(mat: np.ndarray, valid: int) -> np.ndarray:
     if valid == cols:
         return mat
     if valid == 0:
-        out = np.zeros((rows, cols), dtype=complex)
+        out = np.zeros((rows, cols), dtype=mat.dtype)
         out[:cols, :] = np.eye(cols)
         return out
     q_full = np.linalg.qr(mat[:, :valid], mode="complete")[0]
@@ -362,7 +366,7 @@ def synthesize(net: TreeTensorNetwork) -> tuple[QuantumCircuit, CostReport]:
             else:
                 bond_wires[e2] = ws
         pad = np.zeros([1 << p] + [1 << b for _, _, b in groups],
-                       dtype=complex)
+                       dtype=t2.dtype)
         pad[tuple(slice(0, s) for s in t2.shape)] = t2
         mat = pad.reshape(1 << p, -1).T
         mat = _complete_isometry(mat, t2.shape[0])
@@ -415,6 +419,7 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
     placements = list(circ.placements)
     wire_label = dict(enumerate(circ.labels))
     next_wire = circ.qubits
+    dft: dict[int, np.ndarray] = {}   # one read-only matrix per bit count
     for d in sorted(by_dim):
         js = by_dim[d]
         m = len(js)
@@ -425,9 +430,10 @@ def with_inverse_dft(circ: QuantumCircuit, n: int) -> QuantumCircuit:
         targets = [js[j] for j in range(m)]
         targets += list(range(next_wire, next_wire + n - m))
         next_wire += n - m
-        placements.append(Placement(tuple(targets), m,
-                                    inverse_dft_embedding_matrix(n, m),
-                                    kind="qft"))
+        if m not in dft:
+            dft[m] = inverse_dft_embedding_matrix(n, m)
+            dft[m].flags.writeable = False
+        placements.append(Placement(tuple(targets), m, dft[m], kind="qft"))
         for j, w in enumerate(targets):
             wire_label[w] = (d, j)
     return _label_ordered(placements, wire_label, circ.cost.depth + n)

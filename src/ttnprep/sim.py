@@ -257,7 +257,7 @@ def simulate(circ: QuantumCircuit) -> StateVector:
         sv = _hold(Q, psi, wires, run)
         del psi
         drift = abs(sv.norm - 1.0)
-        if drift > NORM_DRIFT_TOL:
+        if not drift <= NORM_DRIFT_TOL:   # a NaN norm fails too
             raise CircuitValidityError(
                 f"norm drifted by {drift:.3e} after placements on "
                 f"{[plc.targets for plc in run]}; a fresh target wire was "

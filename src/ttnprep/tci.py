@@ -28,7 +28,9 @@ coefficient box answers in product form.
 
 Values keep the box's arithmetic. The Gaussian's Fourier coefficients
 are real, so its blocks, SVDs, eliminations, solves and cross updates
-all run in real arithmetic; only the assembled network is stored complex.
+all run in real arithmetic, and the assembled network is float64 too:
+a network keeps its tensors' dtype, and complex enters only with the
+inverse DFT.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Tree tensor networks with a canonical center and ledgered truncation.
 
-A network is a tree of complex tensors. Every tensor axis is attached to
-an edge: bond edges join two nodes, physical edges carry a hashable label
-and one open index. When a center is set, every other tensor is an
-isometry toward the center, so the state's norm and Schmidt data at any
-bond next to the center are read off locally.
+A network is a tree of tensors of one dtype: float64 when every tensor
+it was built from is real, complex128 as soon as one is complex, so a
+real coefficient network is factored, truncated and evaluated in real
+arithmetic. Every tensor axis is attached to an edge: bond edges join
+two nodes, physical edges carry a hashable label and one open index.
+When a center is set, every other tensor is an isometry toward the
+center, so the state's norm and Schmidt data at any bond next to the
+center are read off locally.
 
 Truncation moves the center across each bond, keeps the top chi singular
 values (or a mass tolerance), renormalizes, and records the kept fraction
@@ -29,6 +32,13 @@ from .topology import TreeTopology, walk
 
 MAGIC = b"TTNET001"
 DENSE_CUTOFF = 1e-14
+DTYPES = ("float64", "complex128")   # the .ttn header's dtype values
+
+
+def _common_dtype(arrays) -> np.dtype:
+    """complex128 when any of the arrays is complex, else float64."""
+    return np.dtype(complex if any(np.iscomplexobj(t) for t in arrays)
+                    else float)
 
 
 def frobenius_from_fidelity(f: float) -> float:
@@ -101,7 +111,7 @@ def _fold(m: np.ndarray, others: tuple, pos: int) -> np.ndarray:
 class TreeTensorNetwork:
     """Mutable tree tensor network.
 
-    tensors : node id -> complex ndarray
+    tensors : node id -> ndarray, all of one dtype (see `dtype`)
     axes    : node id -> list of edge ids, one per tensor axis
     edges   : edge id -> Edge
     center  : node id of the canonical center, or None
@@ -112,7 +122,8 @@ class TreeTensorNetwork:
                  center: int | None = None,
                  ledger: FidelityLedger | None = None,
                  validate: bool = True):
-        self.tensors = {u: np.asarray(t, dtype=complex)
+        dtype = _common_dtype(tensors.values())
+        self.tensors = {u: np.asarray(t, dtype=dtype)
                         for u, t in tensors.items()}
         self.axes = {u: list(a) for u, a in axes.items()}
         self.edges = dict(edges)
@@ -166,6 +177,11 @@ class TreeTensorNetwork:
         return net
 
     # -- structure queries -----------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 for a real network, complex128 for a complex one."""
+        return _common_dtype(self.tensors.values())
 
     def validate(self) -> None:
         nodes = set(self.tensors)
@@ -469,6 +485,7 @@ class TreeTensorNetwork:
         (b_{i-1}, p_i, b_i), the last (b_last, p_last). The old physical
         edge becomes the bond into the chain; new physical labels are
         new_labels, one per chain tensor. The center is invalidated.
+        Complex chain tensors make the whole network complex.
         """
         if len(tensors) != len(new_labels):
             raise ParameterError("one new label per chain tensor")
@@ -480,6 +497,9 @@ class TreeTensorNetwork:
         old_dim = self.edge_dim(e0, host)
         if tensors[0].shape[0] != old_dim:
             raise ShapeError("chain entry dimension != leg dimension")
+        dtype = _common_dtype([*self.tensors.values(), *tensors])
+        self.tensors = {u: t.astype(dtype, copy=False)
+                        for u, t in self.tensors.items()}
         nxt_node = max(self.tensors) + 1
         nxt_edge = max(self.edges) + 1
         prev_edge = e0
@@ -494,7 +514,7 @@ class TreeTensorNetwork:
             if last:
                 if t.ndim != 2:
                     raise ShapeError("last chain tensor must have 2 axes")
-                self.tensors[node] = np.asarray(t, dtype=complex)
+                self.tensors[node] = np.asarray(t, dtype=dtype)
                 self.axes[node] = [prev_edge, pe]
             else:
                 if t.ndim != 3:
@@ -502,7 +522,7 @@ class TreeTensorNetwork:
                 be = nxt_edge
                 nxt_edge += 1
                 self.edges[be] = Edge((node, nxt_node + i + 1))
-                self.tensors[node] = np.asarray(t, dtype=complex)
+                self.tensors[node] = np.asarray(t, dtype=dtype)
                 self.axes[node] = [prev_edge, pe, be]
                 prev_edge = be
         self.center = None
@@ -512,10 +532,11 @@ class TreeTensorNetwork:
 
     def save(self, path: str | Path) -> None:
         """Binary container: magic, header length, JSON header, row-major
-        tensor payloads."""
+        tensor payloads in the header's dtype (one of DTYPES)."""
         node_order = sorted(self.tensors)
+        dtype = self.dtype
         header = {
-            "dtype": "complex128",
+            "dtype": dtype.name,
             "center": self.center,
             "nodes": [{"id": u, "axes": self.axes[u],
                        "shape": list(self.tensors[u].shape)}
@@ -532,7 +553,7 @@ class TreeTensorNetwork:
             fh.write(blob)
             for u in node_order:
                 fh.write(np.ascontiguousarray(
-                    self.tensors[u], dtype=complex).tobytes())
+                    self.tensors[u], dtype=dtype).tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "TreeTensorNetwork":
@@ -542,14 +563,22 @@ class TreeTensorNetwork:
                 raise ParameterError(f"{path} is not a network container")
             (hlen,) = struct.unpack("<Q", fh.read(8))
             header = json.loads(fh.read(hlen).decode())
+            if header.get("dtype") not in DTYPES:
+                raise ParameterError(
+                    f"{path}: unknown tensor dtype {header.get('dtype')!r}")
+            dtype = np.dtype(header["dtype"])
             tensors = {}
             axes = {}
             for rec in header["nodes"]:
                 shape = tuple(rec["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(count * 16)
+                size = math.prod(shape) * dtype.itemsize
+                buf = fh.read(size)
+                if len(buf) != size:
+                    raise ParameterError(
+                        f"{path}: node {rec['id']} payload has {len(buf)} "
+                        f"of {size} bytes")
                 tensors[rec["id"]] = np.frombuffer(
-                    buf, dtype=complex).reshape(shape).copy()
+                    buf, dtype=dtype).reshape(shape).copy()
                 axes[rec["id"]] = list(rec["axes"])
         edges = {rec["id"]: Edge(tuple(rec["nodes"]),
                                  label_from_json(rec["label"]))
@@ -600,7 +629,7 @@ def from_dense(tensor: np.ndarray,
     # parents first: each node splits off one child at a time and leaves
     # the child's share, with its axis descriptors ("phys", lab) or
     # ("bond", (a, b)), for the child's turn
-    todo = {root: (np.asarray(tensor, dtype=complex),
+    todo = {root: (np.asarray(tensor, dtype=_common_dtype([tensor])),
                    [("phys", lab) for lab in labels])}
     for u, parent, _ in walk(root, adj.__getitem__):
         t, legs = todo.pop(u)

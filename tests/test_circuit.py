@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttnprep import (CapacityError, CircuitValidityError, CostReport,
-                     Placement, QuantumCircuit, ShapeError, TreeTopology,
+from ttnprep import (BlackBoxTensor, CapacityError, CircuitValidityError,
+                     CostReport, Placement, QuantumCircuit, ShapeError,
+                     TreeTopology,
                      build_qft_ttn, compose_and_compress, fsl_baseline_cost,
                      make_covariance, qubitize, synthesize, tci_build,
                      with_inverse_dft)
@@ -165,6 +166,13 @@ def test_placement_rejects_non_isometry():
         Placement((0, 1), 1, bad, "isometry").validate()
 
 
+def test_placement_rejects_nan_matrix():
+    # a NaN defect compares false with every tolerance
+    nan = Placement((3,), 0, np.array([[np.nan], [1.0]]), "prep")
+    with pytest.raises(CircuitValidityError, match=r"\(3,\)"):
+        nan.validate()
+
+
 def test_single_node_two_qubit_synthesis():
     t = _haar_isometry(4, 1, 2).reshape(2, 2)
     topo = TreeTopology(bonds=(), leaves=((0, "a", 2), (0, "b", 2)))
@@ -255,6 +263,42 @@ def test_with_inverse_dft_pricing():
     assert full.qubits == 4  # fresh wires for the n - m extra bits
     kinds = [p.kind for p in full.placements]
     assert kinds.count("qft") == 1
+
+
+def test_with_inverse_dft_shares_one_read_only_matrix():
+    circ, _ = synthesize(qubitize(random_mps(3, 4, 3,
+                                             np.random.default_rng(47))))
+    full = with_inverse_dft(circ, 5)
+    mats = [plc.matrix for plc in full.placements if plc.kind == "qft"]
+    assert len(mats) == 3 and all(w is mats[0] for w in mats)
+    assert not mats[0].flags.writeable
+    np.testing.assert_array_equal(mats[0], inverse_dft_embedding_matrix(5, 2))
+
+
+def test_a_real_box_stays_real_until_the_fourier_stage():
+    # the coefficient network is float64 from the TCI assembly through
+    # synthesis; complex enters with the inverse-DFT chains or placements
+    grid = GridSpec(3, 4, 20.0, 2)
+    ev = FourierEvaluator(grid, make_covariance("random", 3, sigma_max=0.2,
+                                                seed=5))
+    topo = TreeTopology.from_leaf_tree(((0, 3), (1, 3), (2, 3)), 3, grid.M)
+    net, _ = tci_build(BlackBoxTensor.from_fourier(ev), topo, chi=4,
+                       sweeps=2)
+    assert net.dtype == np.float64
+    q = qubitize(net)
+    assert q.dtype == np.float64
+    q.canonicalize(min(q.tensors))
+    assert q.dtype == np.float64
+    q.truncate(chi=2, tol=1e-12)
+    assert {t.dtype for t in q.tensors.values()} == {np.dtype(float)}
+    circ, _ = synthesize(q)
+    assert {plc.matrix.dtype for plc in circ.placements} == {np.dtype(float)}
+    full = with_inverse_dft(circ, grid.n)
+    for plc in full.placements:
+        assert plc.matrix.dtype == (complex if plc.kind == "qft" else float)
+    composed = compose_and_compress(net, build_qft_ttn(grid.n, grid.m), 2)
+    assert composed.dtype == np.complex128
+    assert net.dtype == np.float64  # composition works on a copy
 
 
 def test_cost_recompute_with_inverse_dft():

@@ -6,23 +6,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttnprep import (CapacityError, CircuitValidityError, CovarianceMatrix,
-                     ParameterError, Placement, QuantumCircuit, ShapeError,
-                     baseline_comparison, compile_circuit, fidelity,
-                     make_covariance, predict_ttn_fidelity, reference,
-                     scan_trees, simulate, synthesize, verify_circuit,
-                     verify_pipeline)
+from ttnprep import (CapacityError, CircuitValidityError, CostReport,
+                     CovarianceMatrix, ParameterError, Placement,
+                     QuantumCircuit, ShapeError, baseline_comparison,
+                     compile_circuit, fidelity, make_covariance,
+                     predict_ttn_fidelity, qubitize, reference, scan_trees,
+                     simulate, synthesize, verify_circuit, verify_pipeline,
+                     with_inverse_dft)
 from ttnprep.fourier import FourierEvaluator, GridSpec, exact_target
 from ttnprep.scaling import _shuffled_caterpillar
 import ttnprep.sim as simmod
 from ttnprep.sim import STRUCTURE_POLICIES, StateVector
 from ttnprep.topology import (TreeTopology, caterpillar_leaf_tree,
                               random_leaf_tree)
-from ttnprep.ttn import random_mps
+from ttnprep.ttn import from_dense, random_mps
 
 
 def _empty_circuit(qubits):
-    from ttnprep.circuit import CostReport
     return QuantumCircuit(qubits, [], tuple(range(qubits)),
                           CostReport(0, 0))
 
@@ -36,7 +36,6 @@ def test_empty_circuit_gives_all_zeros():
 
 def test_single_qubit_prep():
     h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    from ttnprep.circuit import CostReport
     circ = QuantumCircuit(1, [Placement((0,), 0, h, "prep")], (0,),
                           CostReport(2, 2))
     psi = simulate(circ)
@@ -63,12 +62,23 @@ def test_simulate_respects_qubit_cap():
 def test_simulate_rejects_dirty_fresh_wire():
     # second placement claims wire 0 as fresh output while it holds amplitude
     h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    from ttnprep.circuit import CostReport
     circ = QuantumCircuit(
         2, [Placement((0,), 0, h, "prep"), Placement((1, 0), 0,
             np.array([[1.0], [0.0], [0.0], [0.0]]), "prep")],
         (0, 1), CostReport(6, 6))
     with pytest.raises(CircuitValidityError):
+        simulate(circ)
+
+
+def test_simulate_rejects_a_nan_norm(monkeypatch):
+    # with placement validation out of the way, the drift check alone
+    # must refuse a run whose norm is NaN, and name the run
+    nan = Placement((0,), 0, np.array([[np.nan], [1.0]]), "prep")
+    circ = QuantumCircuit(1, [nan], (0,), CostReport(2, 2))
+    with pytest.raises(CircuitValidityError, match=r"\(0,\)"):
+        simulate(circ)
+    monkeypatch.setattr(Placement, "validate", lambda self: None)
+    with pytest.raises(CircuitValidityError, match=r"drifted by nan .*\(0,\)"):
         simulate(circ)
 
 
@@ -95,6 +105,20 @@ def _reference_simulate(circ):
     return psi.ravel()
 
 
+def test_simulate_mixes_real_and_complex_placements():
+    # a real coefficient network gives float64 placements, the inverse
+    # DFT complex ones; together they match the dense reference
+    topo = TreeTopology.mps([0, 1], 4)
+    dense = np.random.default_rng(53).normal(size=(4, 4))
+    net = from_dense(dense / np.linalg.norm(dense), topo)
+    circ, _ = synthesize(qubitize(net))
+    circ = with_inverse_dft(circ, 3)
+    assert {plc.matrix.dtype for plc in circ.placements} == {
+        np.dtype(float), np.dtype(complex)}
+    np.testing.assert_allclose(simulate(circ).amplitudes,
+                               _reference_simulate(circ), rtol=0, atol=1e-12)
+
+
 def _isometry(rng, q, p):
     shape = (1 << q, 1 << p)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -102,7 +126,6 @@ def _isometry(rng, q, p):
 
 
 def _circuit(qubits, layout, rng):
-    from ttnprep.circuit import CostReport
     pls = [Placement(tuple(t), p, _isometry(rng, len(t), p), "isometry")
            for t, p in layout]
     return QuantumCircuit(qubits, pls, tuple(range(qubits)),
@@ -167,7 +190,6 @@ def test_simulate_reads_a_clean_written_wire_as_fresh():
     # the first placement writes wire 1 but leaves it at |0>; the second
     # treats it as fresh, which loses no norm
     rng = np.random.default_rng(3)
-    from ttnprep.circuit import CostReport
     keep0 = np.kron(_isometry(rng, 1, 1), np.array([[1.0], [0.0]]))
     circ = QuantumCircuit(3, [Placement((0,), 0, _isometry(rng, 1, 0)),
                               Placement((0, 1), 1, keep0),
@@ -235,7 +257,6 @@ def test_dirty_fresh_wire_rejected_inside_and_across_runs(
     # last, which is held unapplied, and the error names its targets
     monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
     h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    from ttnprep.circuit import CostReport
     circ = QuantumCircuit(
         2, [Placement((0,), 0, h, "prep"), Placement((1, 0), 0,
             np.array([[1.0], [0.0], [0.0], [0.0]]), "prep")],

@@ -1,6 +1,8 @@
 """Network mechanics: canonical form, truncation ledger, contraction."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ttnprep import (Edge, FidelityLedger, NormalizationError,
 from ttnprep.fourier import FourierEvaluator, GridSpec, dense_coeff_tensor
 from ttnprep.sim import fidelity
 from ttnprep.topology import enumerate_leaf_trees
+from ttnprep import ttn
 from ttnprep.ttn import from_dense, random_mps
 
 
@@ -392,6 +395,86 @@ def test_save_load_roundtrip(tmp_path):
         bad = tmp_path / "junk.ttn"
         bad.write_bytes(b"not a container")
         TreeTensorNetwork.load(bad)
+
+
+def _real_mps(rng):
+    """A real bond-2 MPS on 4 qubits, canonical at node 0."""
+    topo = TreeTopology.mps(list(range(4)), 2)
+    return from_dense(rng.normal(size=(2,) * 4), topo)
+
+
+@pytest.mark.parametrize("kind", ["float64", "complex128"])
+def test_save_load_keeps_the_dtype(tmp_path, kind):
+    rng = np.random.default_rng(23)
+    net = _real_mps(rng) if kind == "float64" else random_mps(4, 2, 3, rng)
+    assert net.dtype == kind
+    path = tmp_path / "net.ttn"
+    net.save(path)
+    back = TreeTensorNetwork.load(path)
+    assert back.dtype == kind
+    assert all(t.dtype == kind for t in back.tensors.values())
+    for u, t in net.tensors.items():
+        np.testing.assert_array_equal(back.tensors[u], t)
+
+
+def _write_container(path, net, dtype, cut=0):
+    """A network container as every earlier version wrote it, with the
+    header naming `dtype`, the tensors cast to complex128, and the last
+    `cut` bytes left off."""
+    nodes = sorted(net.tensors)
+    header = {"dtype": dtype, "center": net.center,
+              "nodes": [{"id": u, "axes": net.axes[u],
+                         "shape": list(net.tensors[u].shape)} for u in nodes],
+              "edges": [{"id": e, "nodes": list(ed.nodes), "label": ed.label}
+                        for e, ed in sorted(net.edges.items())],
+              "ledger": []}
+    blob = json.dumps(header).encode()
+    data = b"".join(np.asarray(net.tensors[u], dtype=complex).tobytes()
+                    for u in nodes)
+    path.write_bytes(ttn.MAGIC + struct.pack("<Q", len(blob)) + blob
+                     + data[:len(data) - cut])
+
+
+def test_load_reads_a_complex128_container_of_a_real_network(tmp_path):
+    # every container written before networks kept their dtype says
+    # complex128, whatever the values
+    net = _real_mps(np.random.default_rng(29))
+    path = tmp_path / "old.ttn"
+    _write_container(path, net, "complex128")
+    back = TreeTensorNetwork.load(path)
+    assert back.dtype == np.complex128
+    np.testing.assert_array_equal(back.contract_to_vector(),
+                                  net.contract_to_vector())
+
+
+@pytest.mark.parametrize("dtype,cut", [("complex128", 1), ("complex128", 16),
+                                       ("float32", 0), (None, 0)])
+def test_load_rejects_a_short_payload_or_an_unknown_dtype(tmp_path, dtype,
+                                                          cut):
+    path = tmp_path / "bad.ttn"
+    _write_container(path, _real_mps(np.random.default_rng(31)), dtype, cut)
+    with pytest.raises(ParameterError):
+        TreeTensorNetwork.load(path)
+
+
+def test_network_dtype_follows_its_inputs():
+    rng = np.random.default_rng(37)
+    real = {0: rng.normal(size=(3, 2)), 1: np.ones(2, dtype=int)}
+    axes = {0: [0, 1], 1: [1]}
+    edges = {0: Edge((0,), "x"), 1: Edge((0, 1))}
+    net = TreeTensorNetwork(real, axes, edges)
+    assert {t.dtype for t in net.tensors.values()} == {np.dtype(float)}
+    mixed = TreeTensorNetwork({**real, 1: real[1] + 0j}, axes, edges)
+    assert {t.dtype for t in mixed.tensors.values()} == {np.dtype(complex)}
+    topo = TreeTopology.mps([0, 1], 2)
+    dense = rng.normal(size=(2, 2))
+    assert from_dense(dense, topo).dtype == np.float64
+    assert from_dense(dense + 0j, topo).dtype == np.complex128
+    # a complex chain turns the whole network complex
+    net = from_dense(dense, topo)
+    net.attach_chain(0, [np.eye(2, dtype=complex)[:, :, None] * 1j,
+                         np.ones((1, 2))], [(0, 0), (0, 1)])
+    assert {t.dtype for t in net.tensors.values()} == {np.dtype(complex)}
 
 
 def test_save_load_nested_labels(tmp_path):
