@@ -29,7 +29,8 @@ from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
                      ParameterError, ShapeError)
 from .fourier import inverse_dft_embedding_matrix
 from .topology import walk
-from .ttn import Edge, TreeTensorNetwork, label_from_json, label_to_json
+from .ttn import (DTYPES, Edge, TreeTensorNetwork, _common_dtype,
+                  label_from_json, label_to_json)
 
 ISOMETRY_TOL = 1e-10
 TRUNC_TOL = 1e-12     # relative rank cut of every compression sweep
@@ -260,13 +261,19 @@ class QuantumCircuit:
                     raise CircuitValidityError(f"target {t} out of range")
 
     def to_dict(self) -> dict:
+        """Each placement records its matrix's dtype (one of DTYPES): a
+        float64 matrix as plain floats, a complex128 one as [re, im]
+        pairs."""
         pls = []
         for plc in self.placements:
-            flat = [[float(z.real), float(z.imag)]
-                    for z in plc.matrix.ravel()]
+            dtype = _common_dtype([plc.matrix])
+            flat = np.asarray(plc.matrix, dtype=dtype).ravel().view(float)
+            if dtype == complex:
+                flat = flat.reshape(-1, 2)
             pls.append({"targets": [int(t) for t in plc.targets],
                         "in_qubits": int(plc.in_qubits),
-                        "kind": plc.kind, "matrix": flat})
+                        "kind": plc.kind, "dtype": dtype.name,
+                        "matrix": flat.tolist()})
         return {"qubits": int(self.qubits),
                 "labels": [label_to_json(l) for l in self.labels],
                 "placements": pls,
@@ -274,12 +281,19 @@ class QuantumCircuit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantumCircuit":
+        """Inverse of to_dict. A placement without a dtype is read as
+        complex128 pairs, the format of files written before the dtype
+        was recorded."""
         pls = []
         for pd in d["placements"]:
             q = len(pd["targets"])
             p = pd["in_qubits"]
-            flat = np.array(pd["matrix"], dtype=float)
-            mat = (flat[:, 0] + 1j * flat[:, 1]).reshape(1 << q, 1 << p)
+            dtype = pd.get("dtype", "complex128")
+            if dtype not in DTYPES:
+                raise ParameterError(
+                    f"unknown placement dtype {dtype!r} on {pd['targets']}")
+            mat = np.array(pd["matrix"], dtype=float).view(dtype)
+            mat = mat.reshape(1 << q, 1 << p)
             pls.append(Placement(tuple(pd["targets"]), p, mat,
                                  pd.get("kind", "isometry")))
         labels = tuple(label_from_json(l) for l in d["labels"])

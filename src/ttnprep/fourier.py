@@ -32,6 +32,8 @@ from .errors import (MAX_DENSE_QUBITS, CapacityError, ParameterError,
                      ShapeError)
 from .gaussian import CovarianceMatrix
 
+SLAB_ENTRIES = 1 << 16   # target entries fourier_ceiling projects at a time
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -252,12 +254,17 @@ def fourier_ceiling(grid: GridSpec, cov: CovarianceMatrix,
 
     With fsl_state = W^{(x)dim} c, the overlap is <c|(W^dagger)^{(x)dim} t>:
     the target is projected onto the kept frequencies one axis at a time
-    and meets c in one vdot. The last axis goes first, as one real
-    product of the (2^{n(dim-1)}, 2^n) target with the 2^n x 2^{m+1}
-    matrix whose columns interleave Re W and -Im W; read as complex, its
-    output is the projection, so nothing register-size is complex. The
-    other axes follow first to last, each shrinking the remainder by
-    2^{m-n}.
+    and meets c in one vdot. The target is cut along its leading axis into
+    slabs of about SLAB_ENTRIES entries (whole leading indices, at least
+    one). Each slab takes the last axis as one real product with the
+    2^n x 2^{m+1} matrix whose columns interleave Re W and -Im W, read as
+    complex, and then the middle axes, each shrinking it by 2^{m-n}. Its
+    (rows, M^{dim-1}) projection lands in one (2^n, M^{dim-1}) complex
+    array, which one W^dagger product on the leading axis finishes. Beyond
+    the target, the working memory is that array, 2 (M/2^n)^{dim-1} of the
+    target's bytes, and one slab's products, about 2M/2^n of a slab's;
+    nothing register-size is made. At dim 1 the last axis is the only one:
+    one product.
     """
     n, m, D = grid.qubits, grid.fourier_qubits, grid.dim
     if n * D > MAX_DENSE_QUBITS:
@@ -268,11 +275,26 @@ def fourier_ceiling(grid: GridSpec, cov: CovarianceMatrix,
             f"{np.size(target)} target amplitudes for {n * D} qubits")
     N, M = 1 << n, 1 << m
     W = inverse_dft_embedding_matrix(n, m)
+    Wh = W.conj().T
     pairs = np.stack([W.real, -W.imag], axis=-1).reshape(N, -1)
-    y = (np.reshape(target, (-1, N)) @ pairs).view(complex)
-    for d in range(D - 1):
-        # axis d is the first one still on the grid: (M^d, N, rest), so
-        # the largest step is one product with no batch
-        y = np.matmul(W.conj().T, y.reshape(M ** d, N, -1))
+
+    def last_axis(t):
+        return (np.reshape(t, (-1, N)) @ pairs).view(complex)
+
+    if D == 1:
+        y = last_axis(target)
+    else:
+        t = np.reshape(target, (N, -1))
+        step = max(1, SLAB_ENTRIES // t.shape[1])
+        y = np.empty((N, M ** (D - 1)), dtype=complex)
+        for r in range(0, N, step):
+            slab = t[r:r + step]
+            s = last_axis(slab)
+            for d in range(D - 2):
+                # middle axis d + 1 leads what is still on the grid:
+                # (rows M^d, N, rest)
+                s = np.matmul(Wh, s.reshape(len(slab) * M ** d, N, -1))
+            y[r:r + step] = s.reshape(len(slab), -1)
+        y = Wh @ y
     c = dense_coeff_tensor(FourierEvaluator(grid, cov))
     return float(abs(np.vdot(c.ravel(), y.ravel())) ** 2)

@@ -449,9 +449,10 @@ def reference(grid: GridSpec, cov: CovarianceMatrix
     """What every circuit for this covariance is checked against: the
     flattened exact target and the Fourier ceiling, the fidelity of the
     untruncated coefficient state with it. The ceiling is taken in
-    coefficient space (fourier_ceiling), so the only register-size array
-    is the real target; the grid must fit the dense cap, which
-    exact_target checks before it builds anything."""
+    coefficient space, one slab of the target at a time (fourier_ceiling),
+    so the real target is the only register-size array (the ceiling's
+    own working memory is 4% of it at D=4, n=6, m=4); the grid must fit
+    the dense cap, which exact_target checks before it builds anything."""
     target = exact_target(grid, cov).ravel()
     return target, fourier_ceiling(grid, cov, target)
 

@@ -1,13 +1,14 @@
 """Inverse-DFT network, composition, synthesis, and the cost model."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ttnprep import (BlackBoxTensor, CapacityError, CircuitValidityError,
-                     CostReport, Placement, QuantumCircuit, ShapeError,
-                     TreeTopology,
+                     CostReport, ParameterError, Placement, QuantumCircuit,
+                     ShapeError, TreeTopology,
                      build_qft_ttn, compose_and_compress, fsl_baseline_cost,
                      make_covariance, qubitize, synthesize, tci_build,
                      with_inverse_dft)
@@ -338,6 +339,46 @@ def test_circuit_json_roundtrip(tmp_path):
         assert a.targets == b.targets and a.in_qubits == b.in_qubits
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
     assert back.cost.to_dict() == circ.cost.to_dict()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_circuit_json_keeps_the_dtype(tmp_path, dtype):
+    # a real circuit is stored as plain floats and loads back float64; a
+    # complex one as [re, im] pairs and loads back complex128
+    rng = np.random.default_rng(45)
+    t = rng.normal(size=(2,) * 5).astype(dtype)
+    if dtype is complex:
+        t += 1j * rng.normal(size=t.shape)
+    net = from_dense(t / np.linalg.norm(t), TreeTopology.mps(range(5), 2))
+    circ, _ = synthesize(net)
+    assert {plc.matrix.dtype for plc in circ.placements} == {np.dtype(dtype)}
+    path = tmp_path / "circ.json"
+    circ.save(path)
+    d = json.loads(path.read_text())
+    for pd in d["placements"]:
+        assert pd["dtype"] == np.dtype(dtype).name
+        assert isinstance(pd["matrix"][0], float if dtype is float else list)
+    back = QuantumCircuit.load(path)
+    back.validate()
+    for a, b in zip(back.placements, circ.placements):
+        assert a.matrix.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def test_circuit_json_reads_pairs_without_a_dtype_as_complex():
+    # the format written before placements recorded their dtype: [re, im]
+    # pairs and no dtype field
+    mat = np.array([[1.0], [0.0]])
+    d = {"qubits": 1, "labels": ["a"], "metrics": CostReport(2, 2).to_dict(),
+         "placements": [{"targets": [0], "in_qubits": 0, "kind": "prep",
+                         "matrix": [[1.0, 0.0], [0.0, 0.0]]}]}
+    back = QuantumCircuit.from_dict(d)
+    assert back.placements[0].matrix.dtype == np.complex128
+    np.testing.assert_array_equal(back.placements[0].matrix, mat)
+    for bad in ("float32", None):
+        d["placements"][0]["dtype"] = bad
+        with pytest.raises(ParameterError):
+            QuantumCircuit.from_dict(d)
 
 
 def test_cost_report_roundtrip():

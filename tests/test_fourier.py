@@ -1,5 +1,7 @@
 """Grid, truncated Fourier coefficients, and the dense uncompressed baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,10 +248,14 @@ def test_fsl_state_two_dim_fidelity():
 
 
 @pytest.mark.parametrize("dim,n,m", [(1, 6, 6), (1, 6, 3), (2, 5, 3),
-                                     (3, 4, 2)])
+                                     (3, 4, 2), (2, 4, 4), (2, 9, 4),
+                                     (3, 7, 3), (4, 4, 3), (4, 5, 5)])
 def test_fourier_ceiling_matches_fsl_state(dim, n, m):
     # the overlap taken in coefficient space equals the one against the
-    # dense embedded state, with m = n and m < n
+    # dense embedded state, with m = n and m < n; at dim 2 and n = 9 the
+    # target (2^18 entries) spans several slabs of whole leading indices,
+    # at (3, 7, 3) one leading index per slab, and dim 4 runs the middle
+    # axes twice per slab
     cov = (make_covariance("random", dim, sigma_max=0.3, seed=dim)
            if dim > 1 else CovarianceMatrix(np.array([[1.3]])))
     grid = GridSpec(dim, n, 20.0, m)
@@ -271,6 +277,22 @@ def test_fourier_ceiling_rejects_a_wrong_size_target(size):
     target = exact_target(grid, cov)
     assert fourier_ceiling(grid, cov, target) == \
         fourier_ceiling(grid, cov, target.ravel())
+
+
+def test_fourier_ceiling_works_in_slabs():
+    # beyond the target, fourier_ceiling holds its (2^n, M^{dim-1}) complex
+    # projection and one slab's products; a whole-register product of the
+    # target with the Re/Im matrix alone is half the target's size
+    grid = GridSpec(4, 5, 20.0, 3)
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
+    target = exact_target(grid, cov).ravel()
+    tracemalloc.start()
+    try:
+        fourier_ceiling(grid, cov, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < target.nbytes / 8
 
 
 def test_fourier_ceiling_capacity_guard():
