@@ -259,7 +259,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         topology=cfg.topology(), sweeps=cfg.sweeps, seed=cfg.seeds[0])
     _write_json(out / "verify.json", record)
     status = "ok" if record["ok"] else "GAP"
-    print(f"verify: simulated {record['simulated_fidelity']:.8f} ledger "
+    print(f"verify: simulated {record['simulated_fidelity']:.8f} fourier "
+          f"ceiling {record['fourier_fidelity']:.8f} ledger "
           f"{record['ledger_fidelity']:.8f} gap {record['gap']:.2e} "
           f"[{status}]")
     return EXIT_OK if record["ok"] else EXIT_VERIFICATION

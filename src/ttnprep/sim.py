@@ -1,11 +1,12 @@
 """Desk-scale statevector simulation and end-to-end verification.
 
-Circuits produced by the synthesizer are replayed placement by placement
-on a dense statevector, and the result is compared against the exactly
-discretized distribution.  The comparison splits into three factors:
-the Fourier-truncation ceiling, the network-truncation fidelity claimed
-by the ledger, and whatever the synthesis padding added on top, which
-lets a ledger-versus-simulation gap be pinned on the stage that owes it.
+Circuits produced by the synthesizer are replayed in fused runs of
+placements, the last run held unapplied, and the state meets the exactly
+discretized distribution through that run's adjoint. The comparison
+splits into three factors: the Fourier-truncation ceiling, the
+network-truncation fidelity claimed by the ledger, and whatever the
+synthesis padding added on top, which lets a ledger-versus-simulation
+gap be pinned on the stage that owes it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .topology import (TreeTopology, caterpillar_leaf_tree,
                        enumerate_leaf_trees)
 
 NORM_DRIFT_TOL = 1e-10
-OVERLAP_BLOCK = 1 << 12
 FUSE_WIDTH = 8   # most wires one fused run of placements may span
-PIECE_QUBITS = 16   # a StateVector meets a vector in pieces of 2^16
 GAP_TOL = 1e-2   # ledger-versus-simulation gap that verification flags
 
 MODES = ("qft-ttn", "qft-gates")
@@ -44,35 +43,28 @@ SCAN_ENDS = {"exhaustive-optimal": 0, "fixed-worst": -1}
 
 
 class StateVector:
-    """A state on `qubits` wires, held as a block over some of them.
+    """A state on `qubits` wires, held one run early.
 
-    `block` has one axis per wire in `wires`; every other wire is |0>.
-    StateVector(qubits, amplitudes) wraps a register-order vector (wire
-    0 most significant) as a block over every wire. The register-order
-    vector of a partial block is built when `amplitudes` is first read.
-
-    StateVector(qubits, t, wires, run=F) holds a state one run early: F
-    is a (2^k, 2^r) map and t, kept as `before`, a contiguous
-    (A, B, 2^r) array over the first a entries of `wires` (A = 2^a),
-    the entries after the next k, and the r wires F reads. The block,
-    (A, 2^k, B) with F applied over wires[a:a+k], is built when `block`
-    or `amplitudes` is first read; `norm` and `overlap` meet F without
+    StateVector(qubits, t, wires, F): F is a (2^k, 2^r) map and t, kept
+    as `before`, an (A, B, 2^r) array over the first a entries of
+    `wires` (A = 2^a), the entries after the next k, and the r wires F
+    reads; every wire not in `wires` is |0>. The block, (A, 2^k, B)
+    with F applied over wires[a:a+k], is built when `block` or
+    `amplitudes` is first read; `norm` and `overlap` meet F without
     building it.
     """
 
-    def __init__(self, qubits: int, amplitudes, wires=None, run=None):
+    def __init__(self, qubits: int, before, wires, run):
         self.qubits = qubits
-        self.wires = tuple(range(qubits) if wires is None else wires)
+        # norm and overlap read t's float view as Re, Im pairs, which
+        # needs t complex and contiguous; such a t is not copied
+        self.before = np.ascontiguousarray(before, dtype=complex)
+        self.wires = tuple(wires)
         self.run = run
-        if run is None:
-            self.block = np.asarray(amplitudes).reshape(
-                (2,) * len(self.wires))
-        else:
-            self.before = amplitudes
 
     @functools.cached_property
     def block(self) -> np.ndarray:
-        """The block over `wires`; a pending run is applied on first read."""
+        """The block over `wires`, the run applied on first read."""
         out = np.matmul(self.run, self.before.transpose(0, 2, 1))
         return out.reshape((2,) * len(self.wires))
 
@@ -87,11 +79,8 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        """The block's norm; with a pending run F on t, sqrt<t|F^dag F|t>,
-        from the 2^r x 2^r Gram matrices of F and of t, so nothing of the
-        block's size is built."""
-        if self.run is None:
-            return float(np.linalg.norm(self.block))
+        """sqrt<t|F^dag F|t>, from the 2^r x 2^r Gram matrices of F and of
+        t, so nothing of the block's size is built."""
         F, t = self.run, self.before
         # one real product gives t's Gram matrix: columns 2c and 2c+1 of
         # the float view are Re and Im of t's column c
@@ -106,47 +95,33 @@ class StateVector:
         return tuple(slice(None) if w in self.wires else 0
                      for w in range(self.qubits))
 
-    def _part(self, x) -> np.ndarray:
-        """The entries of x, a register-order vector, that meet the block
-        (those where every unwritten wire is 0), with the block's axes."""
+    def overlap(self, x) -> complex:
+        """<state|x> for a register-order vector x, through the run's
+        adjoint: <F t|x> = <t|F^dag x>.
+
+        Only the entries of x where every unwritten wire is 0 meet the
+        state. They are read as (A, 2^k, B) and meet conj(t) over the
+        longer of A and B first, one matrix product per index of the
+        shorter, so the stacked products stay small; the 2^k x 2^r sum q
+        then meets conj(F). A real x meets the float view of t, so
+        nothing complex of x's size is built, and when every wire is
+        written and F's wires are one register range, reading x as
+        (A, 2^k, B) is a view.
+        """
+        F, t = self.run, self.before
         x = np.asarray(x)
         if x.size != 1 << self.qubits:
             raise ShapeError(f"{x.size} amplitudes for {self.qubits} qubits")
-        return x.reshape((2,) * self.qubits)[self._written()].transpose(
-            np.argsort(np.argsort(self.wires)))
-
-    def pieces(self, x):
-        """Pairs of flat vectors that together cover the block: a piece of
-        the block and the entries of x, a register-order vector, that
-        meet it (see `_part`). The pieces split the block's leading axes,
-        so each piece of x is a copy of at most 2^PIECE_QUBITS entries,
-        or a view where the block is in register order."""
-        part = self._part(x)
-        for idx in np.ndindex((2,) * max(len(self.wires) - PIECE_QUBITS, 0)):
-            yield self.block[idx].ravel(), part[idx].ravel()
-
-    def overlap(self, x) -> complex:
-        """<state|x> for a register-order vector x. A block meets x piece
-        by piece (see `pieces`).
-
-        A pending run F on t meets x through its adjoint, <F t|x> =
-        <t|F^dag x>, contracted in the cheaper order: x, read as
-        (A, 2^k, B), meets conj(t) over B first, one matrix product per
-        leading index, and the 2^k x 2^r sum q then meets conj(F). A real
-        x meets the float view of t, so nothing complex of x's size is
-        built, and when every wire is written and F's wires are one
-        register range, reading x as (A, 2^k, B) is a view.
-        """
-        if self.run is None:
-            return sum(_overlap(a, b) for a, b in self.pieces(x))
-        F, t = self.run, self.before
-        part = self._part(x).reshape(t.shape[0], F.shape[0], t.shape[1])
-        if np.iscomplexobj(part):
-            q = np.matmul(part, t.conj()).sum(axis=0)
-        else:
-            # Re and Im of x t side by side, read back as complex
-            q = np.matmul(part, t.view(float)).sum(axis=0).view(
-                complex).conj()
+        part = x.reshape((2,) * self.qubits)[self._written()].transpose(
+            np.argsort(np.argsort(self.wires))).reshape(
+                t.shape[0], F.shape[0], t.shape[1])
+        real = not np.iscomplexobj(part)
+        u = t.view(float) if real else t.conj()
+        if t.shape[0] > t.shape[1]:
+            part, u = part.transpose(2, 1, 0), u.transpose(1, 0, 2)
+        q = np.matmul(part, u).sum(axis=0)
+        # a real x gives Re and Im of x t side by side: read as complex
+        q = q.view(complex).conj() if real else q
         return complex(np.sum(F.conj() * q))
 
 
@@ -216,14 +191,11 @@ def _hold(Q: int, psi, wires: list, run) -> StateVector:
     lead = sorted(w for w in rest if w < span[0])
     tail = sorted(w for w in rest if w > span[0])
     order = lead + tail + reads
-    # reshape can return a strided view; norm and overlap read t's
-    # float view, which needs it contiguous
-    t = np.ascontiguousarray(psi.transpose(
-        [wires.index(w) for w in order]).reshape(
-            1 << len(lead), 1 << len(tail), 1 << len(reads)))
+    t = psi.transpose([wires.index(w) for w in order]).reshape(
+        1 << len(lead), 1 << len(tail), 1 << len(reads))
     F = fused.transpose([outs.index(w) for w in span] + [len(outs)])
     return StateVector(Q, t, lead + span + tail,
-                       run=F.reshape(1 << len(span), -1))
+                       F.reshape(1 << len(span), -1))
 
 
 def simulate(circ: QuantumCircuit) -> StateVector:
@@ -242,14 +214,15 @@ def simulate(circ: QuantumCircuit) -> StateVector:
     run reads `block`, which applies it in one matrix product. The last
     run stays unapplied: it is the one that grows the block to its full
     size, so a fidelity against a target never builds it; `block` and
-    `amplitudes` do, on first read.
+    `amplitudes` do, on first read. The state starts, and an empty
+    circuit ends, as a 1x1 identity run held on no wires.
     """
     Q = circ.qubits
     if Q > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"{Q} qubits exceeds the dense cap {MAX_DENSE_QUBITS}")
     circ.validate()
-    sv = StateVector(Q, np.ones((), dtype=complex), [])
+    sv = StateVector(Q, np.ones((1, 1, 1)), [], np.eye(1))
     for run in _runs(circ.placements):
         psi, wires = sv.block, list(sv.wires)
         # keep at most two blocks alive: this one and the next moved copy
@@ -265,44 +238,21 @@ def simulate(circ: QuantumCircuit) -> StateVector:
     return sv
 
 
-def _overlap(u: np.ndarray, v: np.ndarray) -> complex:
-    """<u|v> of two flat vectors, conjugated when only u is complex, so
-    a sum over calls with the same dtypes keeps the overlap's modulus.
-
-    When one side is real, the complex side is read as (re, im) pairs
-    and the real side meets both in one pass: np.vdot would first cast
-    the real side to a complex copy, 256 MB at 2^24 amplitudes. The pass
-    runs in blocks of OVERLAP_BLOCK whose partial sums are added last,
-    which keeps the rounding error below that of one long dot product.
-    """
-    if u.shape != v.shape:
-        raise ShapeError(f"dimension mismatch {u.shape} vs {v.shape}")
-    if np.iscomplexobj(u) == np.iscomplexobj(v):
-        return complex(np.vdot(u, v))
-    z, x = (u, v) if np.iscomplexobj(u) else (v, u)
-    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
-    x = np.asarray(x, dtype=float)
-    cut = x.size - x.size % OVERLAP_BLOCK
-    parts = np.matmul(x[:cut].reshape(-1, 1, OVERLAP_BLOCK),
-                      pairs[:cut].reshape(-1, OVERLAP_BLOCK, 2))
-    re, im = parts.sum(axis=(0, 1)) + x[cut:] @ pairs[cut:]
-    return complex(re, im)
-
-
 def fidelity(u, v) -> float:
     """|<u|v>|^2 for unit vectors, statevectors, or flattened tensors.
 
-    A StateVector meets the other side through its `overlap`: only the
-    other side's entries where every unwritten wire is 0 meet it, and a
-    pending last run meets them through its adjoint, so the state is
-    never expanded to the register.
+    A StateVector meets the other side through its `overlap`, so the
+    state is never expanded to the register; two plain arrays meet in
+    one np.vdot.
     """
     if isinstance(v, StateVector):
         u, v = v, u   # |<u|v>| = |<v|u>|
     if isinstance(u, StateVector):
         total = u.overlap(v.amplitudes if isinstance(v, StateVector) else v)
+    elif np.size(u) != np.size(v):
+        raise ShapeError(f"dimension mismatch {np.shape(u)} vs {np.shape(v)}")
     else:
-        total = _overlap(np.ravel(u), np.ravel(v))
+        total = np.vdot(u, v)
     return float(abs(total) ** 2)
 
 

@@ -172,6 +172,22 @@ def test_verify_ok_run(tmp_path):
     assert rec["simulated_fidelity"] >= rec["fourier_fidelity"] - 1e-3
 
 
+def test_verify_summary_prints_the_fourier_ceiling(tmp_path, capsys):
+    # the simulated fidelity is far below the ledger here because the
+    # ceiling is; the line says so
+    rc = _run("verify", "--kind", "chain", "--param", "rho=-0.99",
+              "--dim", "3", "-n", "6", "-m", "4", "--chi", "2",
+              "--outdir", str(tmp_path))
+    assert rc == EXIT_OK
+    rec = json.loads((tmp_path / "verify.json").read_text())
+    assert rec["simulated_fidelity"] < 0.5 * rec["ledger_fidelity"]
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line == (
+        f"verify: simulated {rec['simulated_fidelity']:.8f} fourier ceiling "
+        f"{rec['fourier_fidelity']:.8f} ledger {rec['ledger_fidelity']:.8f} "
+        f"gap {rec['gap']:.2e} [ok]")
+
+
 def test_verify_rejects_oversized_grid(tmp_path):
     rc = _run("verify", "--kind", "uniform", "--param", "rho=0.1",
               "--dim", "4", "-n", "7", "-m", "3",
@@ -207,8 +223,8 @@ def test_verify_exit_code_on_ledger_gap(tmp_path, monkeypatch):
 
     def fake_verify(*args, **kwargs):
         return {"ok": False, "simulated_fidelity": 0.5,
-                "ledger_fidelity": 0.99, "gap": 0.49, "gap_ok": False,
-                "ceiling_ok": True}
+                "fourier_fidelity": 0.999, "ledger_fidelity": 0.99,
+                "gap": 0.49, "gap_ok": False, "ceiling_ok": True}
 
     monkeypatch.setattr(climod, "verify_pipeline", fake_verify)
     rc = _run("verify", *BASE, "--outdir", str(tmp_path))

@@ -34,6 +34,21 @@ def test_empty_circuit_gives_all_zeros():
     np.testing.assert_allclose(psi.amplitudes, want, atol=1e-15)
 
 
+def test_every_state_is_held():
+    # an empty circuit holds a 1x1 identity run on no wires; every other
+    # circuit holds its last run
+    for Q in range(4):
+        sv = simulate(_empty_circuit(Q))
+        assert sv.run is not None and sv.wires == ()
+        assert sv.norm == 1.0
+        want = np.zeros(1 << Q)
+        want[0] = 1.0
+        np.testing.assert_array_equal(sv.amplitudes, want)
+    rng = np.random.default_rng(11)
+    for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
+        assert simulate(_circuit(qubits, layout, rng)).run is not None
+
+
 def test_single_qubit_prep():
     h = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     circ = QuantumCircuit(1, [Placement((0,), 0, h, "prep")], (0,),
@@ -286,18 +301,19 @@ def test_pending_cases_cover_every_kind_of_last_run(monkeypatch):
         kinds.add(("one range", span == list(range(span[0], span[-1] + 1))))
         kinds.add(("all written", len(simulate(circ).wires) == qubits))
         kinds.add(("one wire", len(span) == 1))
-    assert kinds == {(k, b) for k in ("one range", "all written", "one wire")
+        t = simulate(circ).before
+        kinds.add(("more lead than tail", t.shape[0] > t.shape[1]))
+    assert kinds == {(k, b) for k in ("one range", "all written", "one wire",
+                                      "more lead than tail")
                      for b in (False, True)}
 
 
-@pytest.mark.parametrize("pieces", [16, 2])
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
 def test_fidelity_with_a_pending_run_equals_register_order(
-        width, pieces, monkeypatch):
+        width, monkeypatch):
     # the last run meets x through its adjoint; the register-order vector
     # it would build gives the same fidelity
     monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
-    monkeypatch.setattr(simmod, "PIECE_QUBITS", pieces)
     rng = np.random.default_rng(width)
     for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
         sv = simulate(_circuit(qubits, layout, rng))
@@ -337,24 +353,43 @@ def test_norm_of_a_pending_run_builds_no_amplitudes(monkeypatch):
     np.testing.assert_allclose(sv.amplitudes, want, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("pieces", [16, 2])
-def test_fidelity_on_the_block_equals_register_order(pieces, monkeypatch):
-    # wires 0 and 5 are never written; small pieces split the block,
-    # held with nothing pending and its wires out of register order
-    monkeypatch.setattr(simmod, "PIECE_QUBITS", pieces)
-    qubits, layout = WIRE_LAYOUTS["unwritten-inputs"]
+def test_fidelity_of_a_hand_held_state_equals_register_order():
+    # wires 0 and 5 of 8 are never written and the held wires are out of
+    # register order; one layout has more leading than trailing entries
+    # and one fewer, so overlap contracts over each in turn
     rng = np.random.default_rng(5)
-    circ = _circuit(qubits, layout, rng)
-    held = simulate(circ)
-    sv = StateVector(qubits, held.block.T, held.wires[::-1])
-    assert len(sv.wires) < qubits and sv.run is None
-    np.testing.assert_array_equal(sv.amplitudes, held.amplitudes)
-    x = rng.normal(size=1 << qubits)
-    for v in (x / np.linalg.norm(x), sv.amplitudes[::-1].copy()):
-        want = fidelity(sv.amplitudes, v)
-        assert abs(fidelity(sv, v) - want) <= 1e-14
-        assert abs(fidelity(v, sv) - want) <= 1e-14
-    assert abs(fidelity(sv, sv) - 1.0) <= 1e-14
+    for wires, lead in (((6, 1, 3, 7, 2, 4), 2), ((4, 3, 7, 2, 6, 1), 1)):
+        tail = len(wires) - lead - 3
+        t = rng.normal(size=(1 << lead, 1 << tail, 4)) \
+            + 1j * rng.normal(size=(1 << lead, 1 << tail, 4))
+        t /= np.linalg.norm(t)
+        F = _isometry(rng, 3, 2)
+        sv = StateVector(8, t, wires, F)
+        block = np.einsum("ic,abc->aib", F, t).reshape((2,) * len(wires))
+        want = np.zeros((2,) * 8, dtype=complex)
+        want[(0,) + (slice(None),) * 4 + (0,) + (slice(None),) * 2] = \
+            block.transpose(np.argsort(wires))
+        np.testing.assert_allclose(sv.amplitudes, want.ravel(), rtol=0,
+                                   atol=1e-15)
+        x = rng.normal(size=1 << 8)
+        z = x + 1j * rng.normal(size=1 << 8)
+        for v in (x / np.linalg.norm(x), z / np.linalg.norm(z),
+                  sv.amplitudes[::-1].copy()):
+            want = fidelity(sv.amplitudes, v)
+            assert abs(fidelity(sv, v) - want) <= 1e-14
+            assert abs(fidelity(v, sv) - want) <= 1e-14
+        assert abs(fidelity(sv, sv) - 1.0) <= 1e-14
+
+
+def test_a_real_held_array_meets_like_a_complex_one():
+    # norm and overlap read t's float view as Re, Im pairs: a real t is
+    # held as complex, and a contiguous complex t is held without a copy
+    sv = StateVector(1, np.array([[[0.6, 0.8]]]), [0], np.eye(2))
+    assert sv.norm == pytest.approx(1.0, abs=1e-15)
+    assert sv.overlap(np.array([1.0, 0.0])) == pytest.approx(0.6, abs=1e-15)
+    assert sv.overlap(np.array([0.0, 1j])) == pytest.approx(0.8j, abs=1e-15)
+    t = np.ones((2, 1, 2), dtype=complex) / 2
+    assert StateVector(2, t, [0, 1], np.eye(2)).before is t
 
 
 def test_state_norm_reads_the_block():
@@ -376,20 +411,23 @@ def test_state_norm_reads_the_block():
 
 def test_verify_circuit_peak_memory_below_one_complex_state():
     # the target is the one register-size array: simulating and meeting
-    # it builds nothing complex of the register's size
+    # it builds nothing complex of the register's size, whether the last
+    # run is a network placement (qft-ttn) or the inverse DFT of the last
+    # axis, whose output wires end the register (qft-gates)
     grid = GridSpec(4, 5, 20.0, 3)
     cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
     ref = reference(grid, cov)
-    circ, rec = compile_circuit(cov, grid, 3)
-    assert circ.qubits == 20
-    tracemalloc.start()
-    try:
-        out = verify_circuit(circ, rec, ref)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out["ok"]
-    assert peak < 16 << circ.qubits
+    for mode in ("qft-ttn", "qft-gates"):
+        circ, rec = compile_circuit(cov, grid, 3, mode)
+        assert circ.qubits == 20
+        tracemalloc.start()
+        try:
+            out = verify_circuit(circ, rec, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["ok"], mode
+        assert peak < 16 << circ.qubits, mode
 
 
 def test_reference_peak_memory():
@@ -421,32 +459,37 @@ def test_fidelity_basics():
     assert fidelity(e0, (e0 + e1) / np.sqrt(2)) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ShapeError):
         fidelity(e0, np.zeros(4))
-    sv = StateVector(3, e0)
+    # e0 held as a 1x1 identity run on no wires, as simulate starts
+    sv = StateVector(3, np.ones((1, 1, 1), dtype=complex), (), np.eye(1))
     assert fidelity(sv, e0) == 1.0
+    assert fidelity(e1, sv) == 0.0
 
 
 def test_fidelity_of_complex_and_real_makes_no_copy():
+    # a real target meets a simulated 20-qubit chain state, whose last run
+    # reads one wire behind 14 leading ones, without a register-size copy
     rng = np.random.default_rng(0)
+    layout = [((0,), 0)] + [((k, k + 1), 1) for k in range(19)]
+    sv = simulate(_circuit(20, layout, rng))
     N = 1 << 20
-    z = rng.normal(size=N) + 1j * rng.normal(size=N)
-    z /= np.linalg.norm(z)
-    x = z.real + 0.5 * rng.normal(size=N) / np.sqrt(N)
+    x = sv.block.ravel().real + 0.5 * rng.normal(size=N) / np.sqrt(N)
     x /= np.linalg.norm(x)
-    want = abs(np.einsum("i,i->", z.conj(), x)) ** 2
+    del vars(sv)["block"]
     tracemalloc.start()
     try:
-        got = (fidelity(z, x), fidelity(x, StateVector(20, z)))
+        got = fidelity(x, sv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got[0] == pytest.approx(want, rel=1e-12)
-    assert got[1] == pytest.approx(want, rel=1e-12)
+    assert "block" not in vars(sv)
+    want = abs(np.vdot(sv.amplitudes, x)) ** 2
+    assert got == pytest.approx(want, rel=1e-12)
     assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n", [1, 4095, 4097, 3 * 4096 + 5])
 def test_fidelity_of_complex_and_real_any_length(n):
-    # lengths around the block size, so the remainder path runs
+    # two plain arrays of mixed dtype meet in one vdot, in either order
     rng = np.random.default_rng(n)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     x = z.real + rng.normal(size=n)
