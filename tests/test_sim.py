@@ -308,13 +308,15 @@ def test_pending_cases_cover_every_kind_of_last_run(monkeypatch):
                      for b in (False, True)}
 
 
+@pytest.mark.parametrize("draw", [16, 2])
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
 def test_fidelity_with_a_pending_run_equals_register_order(
-        width, monkeypatch):
+        width, draw, monkeypatch):
     # the last run meets x through its adjoint; the register-order vector
-    # it would build gives the same fidelity
+    # it would build gives the same fidelity, on two random draws of the
+    # circuits and targets at each fusion width
     monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
-    rng = np.random.default_rng(width)
+    rng = np.random.default_rng((width, draw))
     for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
         sv = simulate(_circuit(qubits, layout, rng))
         assert sv.run is not None
@@ -353,11 +355,13 @@ def test_norm_of_a_pending_run_builds_no_amplitudes(monkeypatch):
     np.testing.assert_allclose(sv.amplitudes, want, rtol=0, atol=1e-14)
 
 
-def test_fidelity_of_a_hand_held_state_equals_register_order():
-    # wires 0 and 5 of 8 are never written and the held wires are out of
-    # register order; one layout has more leading than trailing entries
-    # and one fewer, so overlap contracts over each in turn
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("draw", [16, 2])
+def test_fidelity_on_the_block_equals_register_order(draw):
+    # a held state built by hand: wires 0 and 5 of 8 are never written and
+    # the held wires are out of register order; one layout has more
+    # leading than trailing entries and one fewer, so overlap contracts
+    # over each in turn, on two random draws
+    rng = np.random.default_rng((5, draw))
     for wires, lead in (((6, 1, 3, 7, 2, 4), 2), ((4, 3, 7, 2, 6, 1), 1)):
         tail = len(wires) - lead - 3
         t = rng.normal(size=(1 << lead, 1 << tail, 4)) \
