@@ -32,7 +32,7 @@ from .errors import (MAX_DENSE_QUBITS, CapacityError, ParameterError,
                      ShapeError)
 from .gaussian import CovarianceMatrix
 
-SLAB_ENTRIES = 1 << 16   # target entries fourier_ceiling projects at a time
+SLAB_ENTRIES = 1 << 16   # entries a dense pass takes per slab or chunk
 
 
 @dataclass(frozen=True)
@@ -163,23 +163,34 @@ class FourierEvaluator:
         return expo.ravel()
 
 
-def _dense_quadratic(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _dense_quadratic(mat: np.ndarray, v: np.ndarray,
+                     finish=None) -> np.ndarray:
     """sum_ij mat[i, j] v[b_i] v[b_j] at every grid point (b_1, ..., b_D),
     D = len(mat), as a (len(v),)*D tensor, built one axis at a time.
 
     With s_k = sum_{i<k} (mat[i, k] + mat[k, i]) v[b_i] on the first k
     axes, q_k = q_{k-1} + v[b_k] (s_k + mat[k, k] v[b_k]): one matrix
     product of the columns (q_{k-1}, s_k, 1) with the rows
-    (1, v, mat[k, k] v^2). Every step but the last works on arrays
-    len(v) times smaller than the result, which is written in one pass.
+    (1, v, mat[k, k] v^2), taken slab by slab, about SLAB_ENTRIES
+    entries of q_k at a time. Every step but the last works on arrays
+    len(v) times smaller than the result, which is written in one pass;
+    the in-place ufunc `finish`, when given, runs on each of its slabs as
+    it lands.
     """
     q = np.zeros(())
+    step = max(1, SLAB_ENTRIES // len(v))
     for k in range(len(mat)):
         s = functools.reduce(np.add.outer, (mat[:k, k] + mat[k, :k])[:, None]
-                             * v, np.zeros(()))
-        cols = np.stack([q.ravel(), s.ravel(), np.ones(q.size)], axis=1)
+                             * v, np.zeros(())).ravel()
         rows = np.stack([np.ones_like(v), v, mat[k, k] * v * v])
-        q = (cols @ rows).reshape(q.shape + v.shape)
+        out = np.empty((q.size, len(v)))
+        for r in range(0, q.size, step):
+            qs = q.ravel()[r:r + step]
+            slab = np.matmul(np.stack([qs, s[r:r + step], np.ones_like(qs)],
+                                      axis=1), rows, out=out[r:r + step])
+            if finish is not None and k == len(mat) - 1:
+                finish(slab, out=slab)
+        q = out.reshape(q.shape + v.shape)
     return q
 
 
@@ -212,9 +223,9 @@ def exact_target(grid: GridSpec, cov: CovarianceMatrix) -> np.ndarray:
     N = 1 << n
     x = (-a / 2.0 + a * np.arange(N) / N)
     # the factor -1/4 is a power of two, so folding it into the precision
-    # matrix rounds nothing; exp and the scaling then run in place
-    t = _dense_quadratic(-0.25 * np.linalg.inv(cov.matrix), x)
-    np.exp(t, out=t)
+    # matrix rounds nothing; exp runs on each slab as it is written, and
+    # the scaling in place
+    t = _dense_quadratic(-0.25 * np.linalg.inv(cov.matrix), x, np.exp)
     t /= np.linalg.norm(t)
     return t
 

@@ -22,7 +22,8 @@ from .errors import (MAX_DENSE_QUBITS, CapacityError, CircuitValidityError,
                      ParameterError, ShapeError)
 # not called here: bench/spans.py traces ttnprep.sim.fsl_state
 from .fourier import fsl_state  # noqa: F401
-from .fourier import FourierEvaluator, GridSpec, exact_target, fourier_ceiling
+from .fourier import (SLAB_ENTRIES, FourierEvaluator, GridSpec, exact_target,
+                      fourier_ceiling)
 from .gaussian import CovarianceMatrix
 # not called here: bench/spans.py traces ttnprep.sim.optimize_structure
 from .structopt import covariance_tree, optimize_structure  # noqa: F401
@@ -46,27 +47,26 @@ class StateVector:
     """A state on `qubits` wires, held one run early.
 
     StateVector(qubits, t, wires, F): F is a (2^k, 2^r) map and t, kept
-    as `before`, an (A, B, 2^r) array over the first a entries of
-    `wires` (A = 2^a), the entries after the next k, and the r wires F
-    reads; every wire not in `wires` is |0>. The block, (A, 2^k, B)
-    with F applied over wires[a:a+k], is built when `block` or
-    `amplitudes` is first read; `norm` and `overlap` meet F without
-    building it.
+    as `before`, an (A, 2^r, B) array over the first a entries of
+    `wires` (A = 2^a), the r wires F reads, and the entries after the
+    next k; every wire not in `wires` is |0>. The block, (A, 2^k, B) =
+    F t with F over wires[a:a+k], is built when `block` or `amplitudes`
+    is first read; `norm` and `overlap` meet F without building it, one
+    chunk of t at a time.
     """
 
     def __init__(self, qubits: int, before, wires, run):
         self.qubits = qubits
-        # norm and overlap read t's float view as Re, Im pairs, which
-        # needs t complex and contiguous; such a t is not copied
-        self.before = np.ascontiguousarray(before, dtype=complex)
+        # a complex t, held as given: _hold passes a view of the block
+        self.before = np.asarray(before, dtype=complex)
         self.wires = tuple(wires)
         self.run = run
 
     @functools.cached_property
     def block(self) -> np.ndarray:
         """The block over `wires`, the run applied on first read."""
-        out = np.matmul(self.run, self.before.transpose(0, 2, 1))
-        return out.reshape((2,) * len(self.wires))
+        return np.matmul(self.run, self.before).reshape(
+            (2,) * len(self.wires))
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -77,15 +77,35 @@ class StateVector:
         full[self._written()] = self.block.transpose(np.argsort(self.wires))
         return full.ravel()
 
+    def _chunks(self, k: int):
+        """t in chunks of n = SLAB_ENTRIES / max(k, 2^{r+1}) index pairs
+        (a, b), whole rows of B at a time when B is that short.
+
+        Yields (index, P): index picks the chunk's pairs out of an
+        (A, ., B) array, and P is the chunk as one real (pairs, 2^{r+1})
+        array, Re and Im of t[a, c, b] in columns 2c and 2c+1. So P has
+        2^{r+1} n entries and a k-row chunk of x has k n. Every chunk is
+        whole, as A, 2^r and B are powers of two, and P is one buffer:
+        read it before the next chunk.
+        """
+        A, R, B = self.before.shape
+        n = max(1, SLAB_ENTRIES // max(k, 2 * R))
+        na, nb = min(A, max(1, n // B)), min(n, B)
+        buf = np.empty((na, nb, R), dtype=complex)
+        P = buf.reshape(-1, R).view(float)
+        for a in range(0, A, na):
+            for b in range(0, B, nb):
+                i = np.s_[a:a + na, :, b:b + nb]
+                buf[...] = self.before[i].transpose(0, 2, 1)
+                yield i, P
+
     @property
     def norm(self) -> float:
         """sqrt<t|F^dag F|t>, from the 2^r x 2^r Gram matrices of F and of
-        t, so nothing of the block's size is built."""
-        F, t = self.run, self.before
-        # one real product gives t's Gram matrix: columns 2c and 2c+1 of
-        # the float view are Re and Im of t's column c
-        g = t.reshape(-1, t.shape[-1]).view(float)
-        g = g.T @ g
+        t, so nothing of the block's size is built: one real product per
+        chunk of t gives the Gram matrix of its Re, Im columns."""
+        F = self.run
+        g = sum(P.T @ P for _, P in self._chunks(1))
         s = (g[0::2, 0::2] + g[1::2, 1::2]
              + 1j * (g[0::2, 1::2] - g[1::2, 0::2]))
         return float(np.sqrt(max(np.sum(F.conj().T @ F * s).real, 0.0)))
@@ -100,29 +120,23 @@ class StateVector:
         adjoint: <F t|x> = <t|F^dag x>.
 
         Only the entries of x where every unwritten wire is 0 meet the
-        state. They are read as (A, 2^k, B) and meet conj(t) over the
-        longer of A and B first, one matrix product per index of the
-        shorter, so the stacked products stay small; the 2^k x 2^r sum q
-        then meets conj(F). A real x meets the float view of t, so
-        nothing complex of x's size is built, and when every wire is
-        written and F's wires are one register range, reading x as
-        (A, 2^k, B) is a view.
+        state. They are read as (A, 2^k, B), a view when every wire is
+        written and F's wires are one register range. Each chunk of them,
+        (2^k, pairs), meets t's chunk P in one matrix product, real for a
+        real x, so x is read once and nothing of its size is built; the
+        2^k x 2^r sum q of x conj(t) then meets conj(F).
         """
         F, t = self.run, self.before
+        K = F.shape[0]
         x = np.asarray(x)
         if x.size != 1 << self.qubits:
             raise ShapeError(f"{x.size} amplitudes for {self.qubits} qubits")
         part = x.reshape((2,) * self.qubits)[self._written()].transpose(
             np.argsort(np.argsort(self.wires))).reshape(
-                t.shape[0], F.shape[0], t.shape[1])
-        real = not np.iscomplexobj(part)
-        u = t.view(float) if real else t.conj()
-        if t.shape[0] > t.shape[1]:
-            part, u = part.transpose(2, 1, 0), u.transpose(1, 0, 2)
-        q = np.matmul(part, u).sum(axis=0)
-        # a real x gives Re and Im of x t side by side: read as complex
-        q = q.view(complex).conj() if real else q
-        return complex(np.sum(F.conj() * q))
+                t.shape[0], K, t.shape[2])
+        q = sum(part[i].transpose(1, 0, 2).reshape(K, -1) @ P
+                for i, P in self._chunks(K))
+        return complex(np.sum(F.conj() * (q[:, 0::2] - 1j * q[:, 1::2])))
 
 
 def _place(psi, wires: list, plc):
@@ -177,7 +191,9 @@ def _hold(Q: int, psi, wires: list, run) -> StateVector:
     register order, between the other written wires below the first of
     them and the rest in register order, so the block is in register
     order unless a written wire the run leaves alone lies between two of
-    its outputs.
+    its outputs. t keeps the reads where they sit in psi, between those
+    two groups, so it is a view of psi whenever psi's wires already
+    come in that order.
     """
     span = {w for plc in run for w in plc.targets}
     reads = [w for w in wires if w in span]
@@ -190,9 +206,8 @@ def _hold(Q: int, psi, wires: list, run) -> StateVector:
     rest = [w for w in wires if w not in reads]
     lead = sorted(w for w in rest if w < span[0])
     tail = sorted(w for w in rest if w > span[0])
-    order = lead + tail + reads
-    t = psi.transpose([wires.index(w) for w in order]).reshape(
-        1 << len(lead), 1 << len(tail), 1 << len(reads))
+    t = psi.transpose([wires.index(w) for w in lead + reads + tail]).reshape(
+        1 << len(lead), 1 << len(reads), 1 << len(tail))
     F = fused.transpose([outs.index(w) for w in span] + [len(outs)])
     return StateVector(Q, t, lead + span + tail,
                        F.reshape(1 << len(span), -1))
@@ -225,7 +240,9 @@ def simulate(circ: QuantumCircuit) -> StateVector:
     sv = StateVector(Q, np.ones((1, 1, 1)), [], np.eye(1))
     for run in _runs(circ.placements):
         psi, wires = sv.block, list(sv.wires)
-        # keep at most two blocks alive: this one and the next moved copy
+        # one block alive between runs: the next state holds a view of
+        # psi when its wires already sit in order, else a moved copy of
+        # it, and psi goes
         del sv
         sv = _hold(Q, psi, wires, run)
         del psi

@@ -302,7 +302,7 @@ def test_pending_cases_cover_every_kind_of_last_run(monkeypatch):
         kinds.add(("all written", len(simulate(circ).wires) == qubits))
         kinds.add(("one wire", len(span) == 1))
         t = simulate(circ).before
-        kinds.add(("more lead than tail", t.shape[0] > t.shape[1]))
+        kinds.add(("more lead than tail", t.shape[0] > t.shape[2]))
     assert kinds == {(k, b) for k in ("one range", "all written", "one wire",
                                       "more lead than tail")
                      for b in (False, True)}
@@ -314,7 +314,8 @@ def test_fidelity_with_a_pending_run_equals_register_order(
         width, draw, monkeypatch):
     # the last run meets x through its adjoint; the register-order vector
     # it would build gives the same fidelity, on two random draws of the
-    # circuits and targets at each fusion width
+    # circuits and targets at each fusion width, with t met in chunks of
+    # one or two index pairs and in one chunk
     monkeypatch.setattr(simmod, "FUSE_WIDTH", width)
     rng = np.random.default_rng((width, draw))
     for qubits, layout in (*WIRE_LAYOUTS.values(), TWO_BRANCHES):
@@ -323,9 +324,13 @@ def test_fidelity_with_a_pending_run_equals_register_order(
         N = 1 << qubits
         real = rng.normal(size=N)
         cplx = rng.normal(size=N) + 1j * rng.normal(size=N)
-        got = [fidelity(sv, x / np.linalg.norm(x)) for x in (real, cplx)]
+        got = []
+        for slab in (2 * max(sv.run.shape), simmod.SLAB_ENTRIES):
+            monkeypatch.setattr(simmod, "SLAB_ENTRIES", slab)
+            got += [fidelity(sv, x / np.linalg.norm(x))
+                    for x in (real, cplx)]
         assert "block" not in vars(sv)
-        for g, x in zip(got, (real, cplx)):
+        for g, x in zip(got, 2 * (real, cplx)):
             want = fidelity(sv.amplitudes, x / np.linalg.norm(x))
             assert abs(g - want) <= 1e-14
         assert abs(fidelity(sv, sv) - fidelity(sv.amplitudes, sv)) <= 1e-14
@@ -342,17 +347,26 @@ def test_norm_of_a_pending_run_builds_no_amplitudes(monkeypatch):
         assert "amplitudes" not in vars(sv) and "block" not in vars(sv)
         assert norm == pytest.approx(np.linalg.norm(sv.amplitudes),
                                      abs=1e-14)
-    # a map that is no isometry, as a leaking run's is: one leading wire,
-    # three it writes, three trailing, two it reads
+    # a map that is no isometry, as a leaking run's is: two it reads and
+    # three it writes, between one leading wire and three trailing ones
+    # and between three and one, in one chunk, in chunks of whole rows of
+    # the trailing wires and in chunks of part of one row
     rng = np.random.default_rng(2)
-    t = rng.normal(size=(2, 8, 4)) + 1j * rng.normal(size=(2, 8, 4))
     F = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-    sv = StateVector(7, t, range(7), run=F)
-    x = rng.normal(size=1 << 7)
-    want = np.einsum("ic,abc->aib", F, t).ravel()
-    assert sv.norm == pytest.approx(np.linalg.norm(want), rel=1e-14)
-    assert sv.overlap(x) == pytest.approx(np.vdot(want, x), rel=1e-14)
-    np.testing.assert_allclose(sv.amplitudes, want, rtol=0, atol=1e-14)
+    for shape in ((2, 4, 8), (8, 4, 2)):
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x = rng.normal(size=1 << 7)
+        z = x + 1j * rng.normal(size=1 << 7)
+        want = np.einsum("ic,acb->aib", F, t).ravel()
+        for slab in (simmod.SLAB_ENTRIES, 32, 8):
+            monkeypatch.setattr(simmod, "SLAB_ENTRIES", slab)
+            sv = StateVector(7, t, range(7), run=F)
+            assert sv.norm == pytest.approx(np.linalg.norm(want), rel=1e-14)
+            for v in (x, z):
+                assert sv.overlap(v) == pytest.approx(np.vdot(want, v),
+                                                      rel=1e-14)
+            np.testing.assert_allclose(sv.amplitudes, want, rtol=0,
+                                       atol=1e-14)
 
 
 @pytest.mark.parametrize("draw", [16, 2])
@@ -364,12 +378,12 @@ def test_fidelity_on_the_block_equals_register_order(draw):
     rng = np.random.default_rng((5, draw))
     for wires, lead in (((6, 1, 3, 7, 2, 4), 2), ((4, 3, 7, 2, 6, 1), 1)):
         tail = len(wires) - lead - 3
-        t = rng.normal(size=(1 << lead, 1 << tail, 4)) \
-            + 1j * rng.normal(size=(1 << lead, 1 << tail, 4))
+        t = rng.normal(size=(1 << lead, 4, 1 << tail)) \
+            + 1j * rng.normal(size=(1 << lead, 4, 1 << tail))
         t /= np.linalg.norm(t)
         F = _isometry(rng, 3, 2)
         sv = StateVector(8, t, wires, F)
-        block = np.einsum("ic,abc->aib", F, t).reshape((2,) * len(wires))
+        block = np.einsum("ic,acb->aib", F, t).reshape((2,) * len(wires))
         want = np.zeros((2,) * 8, dtype=complex)
         want[(0,) + (slice(None),) * 4 + (0,) + (slice(None),) * 2] = \
             block.transpose(np.argsort(wires))
@@ -386,13 +400,12 @@ def test_fidelity_on_the_block_equals_register_order(draw):
 
 
 def test_a_real_held_array_meets_like_a_complex_one():
-    # norm and overlap read t's float view as Re, Im pairs: a real t is
-    # held as complex, and a contiguous complex t is held without a copy
-    sv = StateVector(1, np.array([[[0.6, 0.8]]]), [0], np.eye(2))
+    # a real t is held as complex, and a complex t is held as given
+    sv = StateVector(1, np.array([[[0.6], [0.8]]]), [0], np.eye(2))
     assert sv.norm == pytest.approx(1.0, abs=1e-15)
     assert sv.overlap(np.array([1.0, 0.0])) == pytest.approx(0.6, abs=1e-15)
     assert sv.overlap(np.array([0.0, 1j])) == pytest.approx(0.8j, abs=1e-15)
-    t = np.ones((2, 1, 2), dtype=complex) / 2
+    t = np.ones((2, 2, 1), dtype=complex) / 2
     assert StateVector(2, t, [0, 1], np.eye(2)).before is t
 
 
@@ -432,6 +445,32 @@ def test_verify_circuit_peak_memory_below_one_complex_state():
             tracemalloc.stop()
         assert out["ok"], mode
         assert peak < 16 << circ.qubits, mode
+
+
+def test_verify_pipeline_at_the_dense_cap_holds_one_block(monkeypatch):
+    # on 24 qubits the real target is the one register-size array; above
+    # it sits at most the 2^20-entry complex block the last run reads,
+    # which that run's held state keeps as a view, not as a copy
+    grid = GridSpec(4, 6, 20.0, 4)
+    cov = make_covariance("random", 4, sigma_max=0.2, seed=3)
+    hold, held = simmod._hold, []
+
+    def spy(Q, psi, wires, run):
+        sv = hold(Q, psi, wires, run)
+        held.append((psi.size, np.shares_memory(sv.before, psi)))
+        return sv
+
+    monkeypatch.setattr(simmod, "_hold", spy)
+    tracemalloc.start()
+    try:
+        rec = verify_pipeline(cov, grid, 4, "qft-ttn",
+                              structure="auto-optimize")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["ok"] and rec["qubits"] == 24
+    assert held[-1] == (1 << 20, True)
+    assert peak <= (8 << 24) + (16 << 20) + (2 << 20)
 
 
 def test_reference_peak_memory():
